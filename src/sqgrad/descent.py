@@ -114,7 +114,9 @@ class Trajectory:
     ``calls``, ``raw`` and ``best`` are aligned per oracle response;
     two-call estimators therefore contribute two entries per step.
     Snapshots hold decoded probability vectors at step 0 and every
-    snapshot stride.
+    snapshot stride.  ``queries_per_sample`` is the estimator's; a run
+    whose budget is not a multiple of it ends short of the budget by
+    less than one sample.
     """
 
     estimator: str
@@ -126,6 +128,7 @@ class Trajectory:
     snapshots: np.ndarray
     final_x: np.ndarray
     seed: int = 0
+    queries_per_sample: int = 1
 
 
 def _initial_states(
@@ -136,7 +139,7 @@ def _initial_states(
     for cfg in configs:
         x0 = np.asarray(cfg.x0, dtype=float)
         x0 = np.broadcast_to(x0, (d,)).astype(float)
-        if np.any(x0 <= 0.0) or np.any(x0 >= 1.0):
+        if not np.all((x0 > 0.0) & (x0 < 1.0)):
             raise DomainError("x0 must lie strictly inside (0, 1)^d")
         rows.append(np.clip(est.encode(x0), lo, hi))
     return np.array(rows), lo, hi
@@ -148,6 +151,11 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     All configs must agree on everything but the seed.  Each trial
     consumes only its own derived stream, so the trajectories are
     identical to running the trials one at a time.
+
+    Inputs are checked here, once: the initial states, and the clamp
+    bounds, which keep every later state in the estimator's domain.  The
+    step loop then trusts them, apart from one finiteness check of the
+    states after each update.
     """
     head = configs[0]
     for cfg in configs[1:]:
@@ -172,24 +180,32 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     rngs = [derive_rng(cfg.seed) for cfg in configs]
 
     raw = np.empty((m, steps * qps))
+    noise = np.empty((m, d))
     snap_steps = [0]
-    snaps = [np.array([est.decode(row) for row in states])]
+    snaps = [np.array(est.decode(states))]
 
     for t in range(1, steps + 1):
         eta = head.schedule.rate(t)
-        noise = np.stack([est.draw_noise(rng, d) for rng in rngs])
+        for i, rng in enumerate(rngs):
+            noise[i] = est.draw_noise(rng, d)
         batch = est.evaluate(states, noise, oracles[0] if shared else oracles)
         states = np.clip(states + sign * eta * batch.grads, lo, hi)
+        if not np.isfinite(states).all():
+            raise DomainError(
+                f"{est.spec}: non-finite state at step {t}; "
+                "check the oracle values and the step size"
+            )
         raw[:, (t - 1) * qps : t * qps] = batch.raw
         if t % stride == 0:
             snap_steps.append(t)
-            snaps.append(np.array([est.decode(row) for row in states]))
+            snaps.append(np.array(est.decode(states)))
 
     calls = np.arange(1, steps * qps + 1, dtype=np.int64)
     running = np.maximum.accumulate if sign > 0 else np.minimum.accumulate
     best = running(raw, axis=1)
     snap_steps_arr = np.asarray(snap_steps, dtype=np.int64)
     snaps_arr = np.stack(snaps, axis=1)  # (m, n_snaps, d)
+    final = np.array(est.decode(states))
 
     out = []
     for i, cfg in enumerate(configs):
@@ -202,8 +218,9 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
                 best=best[i].copy(),
                 snapshot_steps=snap_steps_arr.copy(),
                 snapshots=snaps_arr[i].copy(),
-                final_x=np.asarray(est.decode(states[i]), dtype=float),
+                final_x=final[i].copy(),
                 seed=cfg.seed,
+                queries_per_sample=qps,
             )
         )
     return out

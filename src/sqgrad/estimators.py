@@ -65,11 +65,12 @@ __all__ = [
 class EstimatorSample:
     """One realisation of an estimator.
 
-    ``key`` is the queried vertex, shape (d,), or the pair of vertices,
-    shape (2, d), for the two-call estimators.  ``value`` is an
-    unbiased estimate of v(x) when the estimator provides one and NaN
-    otherwise.  ``raw`` holds the oracle outputs at the queried keys in
-    query order, which is what descent loops track as the objective.
+    ``key`` is the queried vertex, a bool array of shape (d,), or the
+    pair of vertices, shape (2, d), for the two-call estimators.
+    ``value`` is an unbiased estimate of v(x) when the estimator
+    provides one and NaN otherwise.  ``raw`` holds the oracle outputs
+    at the queried keys in query order, which is what descent loops
+    track as the objective.
     """
 
     key: np.ndarray
@@ -83,7 +84,7 @@ class EstimatorSample:
 class SampleBatch:
     """A vectorised block of independent realisations."""
 
-    keys: np.ndarray  # (n, d) or (n, 2, d)
+    keys: np.ndarray  # bool, (n, d) or (n, 2, d)
     values: np.ndarray  # (n,), NaN where no value estimate exists
     grads: np.ndarray  # (n, d)
     raw: np.ndarray  # (n, queries_per_sample)
@@ -112,21 +113,13 @@ def _query_rows(keys: np.ndarray, oracles) -> np.ndarray:
     else:
         if len(oracles) != keys.shape[0]:
             raise DimensionMismatchError("need one oracle per state row")
-        out = np.empty(flat.shape[0])
-        for i, oracle in enumerate(oracles):
-            out[i * per_row : (i + 1) * per_row] = oracle.query_batch(
-                keys[i].reshape(per_row, -1)
-            )
+        out = np.concatenate(
+            [
+                oracle.query_batch(flat[i * per_row : (i + 1) * per_row])
+                for i, oracle in enumerate(oracles)
+            ]
+        )
     return out.reshape(keys.shape[0], per_row)
-
-
-def _check_states(states: np.ndarray, *, open_unit: bool) -> np.ndarray:
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2:
-        raise DomainError("states must be a (m, d) array")
-    if open_unit and (np.any(states <= 0.0) or np.any(states >= 1.0)):
-        raise DomainError("probabilities must lie strictly inside (0, 1)")
-    return states
 
 
 class Estimator:
@@ -136,6 +129,11 @@ class Estimator:
     encoded one, whose states live in the encoding domain.  ``encode``
     and ``decode`` translate between the two; descent loops use them to
     run the same update rule in either space.
+
+    States are checked where they enter: ``_checked_point`` for the
+    sampling entries, ``state_bounds`` for descent, whose clamp keeps
+    every state inside those bounds.  ``evaluate`` is the trusted kernel
+    behind both and checks nothing but what guards its own arithmetic.
     """
 
     spec: str
@@ -152,9 +150,16 @@ class Estimator:
         return np.asarray(state, dtype=float)
 
     def state_bounds(self, delta: float) -> tuple[float, float]:
-        if not 0.0 < delta < 0.5:
-            raise DomainError("clamp width must lie in (0, 1/2)")
+        """Clamp bounds of the state; both lie inside the state domain."""
+        if not 0.0 < delta < 0.5 or not 1.0 - delta < 1.0:
+            raise DomainError(
+                "clamp width must lie in (0, 1/2), with 1 - width below 1"
+            )
         return (delta, 1.0 - delta)
+
+    def _check_domain(self, states: np.ndarray) -> None:
+        if not np.all((states > 0.0) & (states < 1.0)):
+            raise DomainError("probabilities must lie strictly inside (0, 1)")
 
     # ---------- noise ----------
 
@@ -165,7 +170,11 @@ class Estimator:
         raise NotImplementedError
 
     def evaluate(self, states: np.ndarray, noise: np.ndarray, oracles) -> SampleBatch:
-        """Evaluate one realisation per state row at the given noise."""
+        """Evaluate one realisation per state row at the given noise.
+
+        ``states`` and ``noise`` are (m, d) float arrays and every state
+        lies in the estimator's domain; callers have checked that.
+        """
         raise NotImplementedError
 
     # ---------- sampling ----------
@@ -178,6 +187,7 @@ class Estimator:
             raise DimensionMismatchError(
                 f"state has length {x.shape[0]} but the oracle has dimension {oracle.d}"
             )
+        self._check_domain(x)
         return x
 
     def sample(self, x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
@@ -219,7 +229,6 @@ class _EsgEstimator(Estimator):
         return np.asarray(self.tup.sigma.sample(rng, (n, d)), dtype=float)
 
     def _encoded_states(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        states = _check_states(states, open_unit=True)
         if states.base is not None and states.strides[0] == 0:
             # Broadcast rows share one x: invert once, not once per row.
             e_row = np.atleast_1d(self.tup.sigma_hat.inv_cdf(states[0]))
@@ -230,7 +239,9 @@ class _EsgEstimator(Estimator):
         return e, np.atleast_2d(self.tup.sigma_hat.density(e))
 
     def evaluate(self, states, noise, oracles):
-        e, dens = self._encoded_states(np.asarray(states, dtype=float))
+        e, dens = self._encoded_states(states)
+        # The gradient weight divides by the density; a tabulated or
+        # flat encoding can make it vanish even at a valid state.
         if np.any(dens <= 0.0):
             raise TupleError(
                 f"{self.tup.name}: encoding density vanishes at the requested point"
@@ -257,10 +268,19 @@ class _EncodedEsgEstimator(Estimator):
 
     def state_bounds(self, delta):
         lo, hi = super().state_bounds(delta)
-        return (
+        bounds = (
             float(self.tup.sigma_hat.inv_cdf(lo)),
             float(self.tup.sigma_hat.inv_cdf(hi)),
         )
+        self._check_domain(np.array(bounds))
+        return bounds
+
+    def _check_domain(self, states: np.ndarray) -> None:
+        lo, hi = self.tup.sigma_hat.support
+        if not np.all((states > lo) & (states < hi)):
+            raise EncodingError(
+                "encoded states must lie in the interior of the encoding support"
+            )
 
     def draw_noise(self, rng, d):
         return np.asarray(self.tup.sigma.sample(rng, d), dtype=float)
@@ -269,22 +289,14 @@ class _EncodedEsgEstimator(Estimator):
         return np.asarray(self.tup.sigma.sample(rng, (n, d)), dtype=float)
 
     def evaluate(self, states, noise, oracles):
-        e = np.asarray(states, dtype=float)
-        if e.ndim != 2:
-            raise DomainError("states must be a (m, d) array")
-        lo, hi = self.tup.sigma_hat.support
-        if np.any(e <= lo) or np.any(e >= hi) or not np.all(np.isfinite(e)):
-            raise EncodingError(
-                "encoded states must lie in the interior of the encoding support"
-            )
-        return _esg_from_encoded(self.tup, e, noise, oracles, dens=None)
+        return _esg_from_encoded(self.tup, states, noise, oracles, dens=None)
 
 
 def _esg_from_encoded(
     tup: GoodTuple, e: np.ndarray, eps: np.ndarray, oracles, dens
 ) -> SampleBatch:
     z = e + eps
-    keys = (z >= 0.0).astype(float)
+    keys = z >= 0.0
     az = np.abs(z)
     fv = np.asarray(tup.f(az))
     fp = np.asarray(tup.f_prime(az))
@@ -316,19 +328,18 @@ class _NaiveEstimator(Estimator):
         return np.asarray(self.dist.sample(rng, (n, d)), dtype=float)
 
     def evaluate(self, states, noise, oracles):
-        states = _check_states(states, open_unit=True)
         if states.base is not None and states.strides[0] == 0:
             e = np.broadcast_to(
                 np.atleast_1d(self.dist.inv_cdf(states[0])), states.shape
             )
         else:
             e = np.atleast_2d(self.dist.inv_cdf(states))
-        keys = (e + noise >= 0.0).astype(float)
+        keys = e + noise >= 0.0
         raw = _query_rows(keys, oracles)
         return SampleBatch(
             keys=keys,
             values=raw[:, 0],
-            grads=np.zeros_like(keys),
+            grads=np.zeros(keys.shape),
             raw=raw,
             queries=keys.shape[0],
         )
@@ -354,9 +365,8 @@ class _ReinforceEstimator(_ScoreEstimator):
     queries_per_sample = 1
     spec = "reinforce"
 
-    def evaluate(self, states, noise, oracles):
-        x = _check_states(states, open_unit=True)
-        keys = (noise < x).astype(float)
+    def evaluate(self, x, noise, oracles):
+        keys = noise < x
         raw = _query_rows(keys, oracles)
         q = raw[:, 0]
         score = keys / x - (1.0 - keys) / (1.0 - x)
@@ -376,16 +386,13 @@ class _PairedScoreEstimator(_ScoreEstimator):
 
     @staticmethod
     def _pair(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        y1 = (u > 1.0 - x).astype(float)
-        y2 = (u < x).astype(float)
-        return np.stack([y1, y2], axis=1)  # (m, 2, d)
+        return np.stack([u > 1.0 - x, u < x], axis=1)  # (m, 2, d), bool
 
 
 class _ArmEstimator(_PairedScoreEstimator):
     spec = "arm"
 
-    def evaluate(self, states, noise, oracles):
-        x = _check_states(states, open_unit=True)
+    def evaluate(self, x, noise, oracles):
         keys = self._pair(x, noise)
         raw = _query_rows(keys, oracles)
         # Logit-space gradient, then the chain rule d logit / dx = 1/(x(1-x)).
@@ -403,8 +410,7 @@ class _ArmEstimator(_PairedScoreEstimator):
 class _DisarmEstimator(_PairedScoreEstimator):
     spec = "disarm"
 
-    def evaluate(self, states, noise, oracles):
-        x = _check_states(states, open_unit=True)
+    def evaluate(self, x, noise, oracles):
         keys = self._pair(x, noise)
         raw = _query_rows(keys, oracles)
         y1, y2 = keys[:, 0, :], keys[:, 1, :]
@@ -412,7 +418,7 @@ class _DisarmEstimator(_PairedScoreEstimator):
         g_logit = (
             0.5
             * (raw[:, 0] - raw[:, 1])[:, None]
-            * np.where(y2 == 1.0, -1.0, 1.0)
+            * np.where(y2, -1.0, 1.0)
             * (y1 != y2)
             * np.maximum(x, 1.0 - x)
         )

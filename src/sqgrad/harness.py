@@ -216,8 +216,10 @@ def aggregate(
     """Median and quartiles of the running best across trials.
 
     The running best is a step function of the call count; between
-    recorded calls the last value is carried forward.  Percentiles are
-    the linearly interpolated kind.
+    recorded calls the last value is carried forward, and past the last
+    call when the grid ends less than one sample after it (a two-query
+    method cannot spend an odd budget).  Percentiles are the linearly
+    interpolated kind.
     """
     if not trajectories:
         raise EmptyInputError("no trajectories to aggregate")
@@ -227,7 +229,7 @@ def aggregate(
         if traj.estimator != trajectories[0].estimator:
             raise ConfigError("cannot aggregate across different estimators")
         idx = np.searchsorted(traj.calls, grid, side="right") - 1
-        if np.any(idx < 0) or grid[-1] > traj.calls[-1]:
+        if np.any(idx < 0) or grid[-1] >= traj.calls[-1] + traj.queries_per_sample:
             raise ConfigError("grid extends beyond the recorded calls")
         rows[i] = traj.best[idx]
     p25, med, p75 = np.percentile(rows, [25.0, 50.0, 75.0], axis=0, method="linear")

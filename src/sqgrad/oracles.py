@@ -3,6 +3,15 @@
 Every oracle counts each evaluated vertex, atomically, whether queries
 arrive one at a time or in batches.  Estimator code never peeks inside
 an oracle; the counter is the ground truth for query budgets.
+
+Keys are checked once, where they enter ``query``/``query_batch``.  The
+shape is checked for every dtype.  Bool keys are binary by type and are
+trusted without a scan; this is what the estimators build.  Keys of any
+other dtype are converted to float and scanned for 0/1 entries.
+
+``TableOracle`` rejects a non-finite value when it is built.  The slice
+and knapsack objectives look their values up in a table of constants,
+built once and indexed by the key's weight.
 """
 
 from __future__ import annotations
@@ -49,28 +58,35 @@ class Oracle:
 
     def query(self, y) -> float:
         """Evaluate one vertex; increments the counter by exactly 1."""
-        y = self._checked(np.asarray(y, dtype=float)[None, :])
+        y = self._checked(np.asarray(y)[None, :])
         with self._lock:
             self._calls += 1
         return float(self._values(y)[0])
 
     def query_batch(self, ys) -> np.ndarray:
         """Evaluate a (n, d) batch; increments the counter by n."""
-        ys = self._checked(np.asarray(ys, dtype=float))
+        ys = self._checked(ys)
         with self._lock:
             self._calls += ys.shape[0]
         return self._values(ys)
 
-    def _checked(self, ys: np.ndarray) -> np.ndarray:
+    def _checked(self, ys) -> np.ndarray:
+        """Bool (n, d) keys: as given.  Any other dtype: scanned for 0/1
+        entries and converted to bool."""
+        ys = np.asarray(ys)
         if ys.ndim != 2 or ys.shape[1] != self.d:
             raise DimensionMismatchError(
                 f"expected keys of shape (n, {self.d}), got {ys.shape}"
             )
-        if not np.all((ys == 0.0) | (ys == 1.0)):
-            raise DomainError("oracle keys must be 0/1 vectors")
+        if ys.dtype != np.bool_:
+            ys = ys.astype(float)
+            if not np.all((ys == 0.0) | (ys == 1.0)):
+                raise DomainError("oracle keys must be 0/1 vectors")
+            ys = ys.astype(np.bool_)
         return ys
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
+        """Values at checked (n, d) bool keys."""
         raise NotImplementedError
 
     # ---------- accounting ----------
@@ -98,6 +114,12 @@ class TableOracle(Oracle):
         d = int(math.log2(values.size)) if values.size else 0
         if values.size < 2 or (1 << d) != values.size:
             raise DomainError("table length must be a power of two, at least 2")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError(
+                f"table value {float(values[bad[0]])} at key bits "
+                f"{int(bad[0]):0{d}b} is not finite"
+            )
         super().__init__(d)
         self._table = values
         self._powers = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -131,11 +153,17 @@ class TableOracle(Oracle):
                 if bits in rows:
                     raise ConfigError(f"{path}: duplicate bits {bits!r}")
                 try:
-                    rows[bits] = float(row["value"])
+                    value = float(row["value"])
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}: bad value {row['value']!r} for bits {bits!r}"
                     ) from exc
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{path}, line {reader.line_num}: value {row['value']!r} "
+                        f"for bits {bits!r} is not finite"
+                    )
+                rows[bits] = value
         if not rows:
             raise ConfigError(f"{path}: empty table")
         d = len(next(iter(rows)))
@@ -147,8 +175,7 @@ class TableOracle(Oracle):
         return cls(values)
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        idx = (ys.astype(np.int64) @ self._powers).astype(np.int64)
-        return self._table[idx].astype(float)
+        return self._table[ys @ self._powers]
 
 
 class SymmetricSliceOracle(Oracle):
@@ -164,21 +191,23 @@ class SymmetricSliceOracle(Oracle):
 
     def __init__(self, d: int):
         super().__init__(d)
-        self._half = d // 2
-        self._band = math.floor(0.133 * d)
-        self._low = math.floor(0.233 * d)
+        half = self.d // 2
+        band = math.floor(0.133 * self.d)
+        low = math.floor(0.233 * self.d)
+
+        def value(s: int) -> float:
+            if s == self.d:
+                return 3.0
+            if abs(s - half) <= band:
+                return 18.0
+            if s <= low:
+                return -2.0
+            return 0.0
+
+        self._by_weight = np.array([value(s) for s in range(self.d + 1)])
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        s = ys.sum(axis=1)
-        return np.select(
-            [
-                s == self.d,
-                np.abs(s - self._half) <= self._band,
-                s <= self._low,
-            ],
-            [3.0, 18.0, -2.0],
-            default=0.0,
-        )
+        return self._by_weight[ys.sum(axis=1)]
 
 
 class KnapsackOracle(Oracle):
@@ -197,16 +226,20 @@ class KnapsackOracle(Oracle):
             raise DomainError("weights must be positive integers")
         super().__init__(weights.size)
         self.weights = weights.astype(np.int64)
-        self.target = int(self.weights.sum()) // 2
+        total = int(self.weights.sum())
+        self.target = t = total // 2
+
+        def value(s: int) -> float:
+            if abs(s - t) <= 2:
+                return 20.0
+            if s > t + 2:
+                return -5.0
+            return 0.0
+
+        self._by_weight = np.array([value(s) for s in range(total + 1)])
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        s = ys @ self.weights
-        t = self.target
-        return np.select(
-            [np.abs(s - t) <= 2, s > t + 2],
-            [20.0, -5.0],
-            default=0.0,
-        )
+        return self._by_weight[ys @ self.weights]
 
 
 def make_knapsack(d: int, rng: np.random.Generator) -> KnapsackOracle:

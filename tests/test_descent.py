@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgrad.descent import (
     DescentConfig,
     Schedule,
+    _run_group,
     derive_rng,
     derive_seed,
     encoded_sqd,
@@ -13,7 +16,7 @@ from sqgrad.descent import (
     sqd,
 )
 from sqgrad.errors import ConfigError, DomainError, ScheduleError
-from sqgrad.oracles import SymmetricSliceOracle, parse_problem
+from sqgrad.oracles import Oracle, SymmetricSliceOracle, parse_problem
 
 CONST = Schedule("constant", 0.1)
 
@@ -204,3 +207,60 @@ def test_x0_tuple_sets_coordinates():
     oracle = SymmetricSliceOracle(3)
     traj, _ = sqd(_config(x0=(0.2, 0.5, 0.8), steps=1), oracle)
     np.testing.assert_allclose(traj.snapshots[0], [0.2, 0.5, 0.8], atol=1e-12)
+
+
+class _NanOracle(Oracle):
+    """Answers NaN at every key with an odd first coordinate."""
+
+    def _values(self, ys):
+        return np.where(ys[:, 0], np.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "estimator", ["esg:arch", "encoded_esg:spike", "reinforce", "arm", "disarm"]
+)
+def test_non_finite_state_stops_the_run(estimator):
+    run = encoded_sqd if estimator.startswith("encoded") else sqd
+    match = rf"{estimator}: non-finite state at step \d+"
+    with pytest.raises(DomainError, match=match):
+        run(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
+
+
+def test_tiny_clamp_is_rejected_before_the_run():
+    # 1 - 1e-17 rounds to 1.0, where the score estimators divide by zero;
+    # the clamp bounds are checked once, before the first step.
+    cfg = _config(estimator="reinforce", clamp=1e-17, steps=1)
+    with pytest.raises(DomainError):
+        sqd(cfg, SymmetricSliceOracle(3))
+
+
+_KINDS = [
+    "esg:arch", "encoded_esg:bigauss_cosine", "naive", "reinforce", "arm", "disarm"
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    estimator=st.sampled_from(_KINDS),
+    problem=st.sampled_from(["slice:5", "knapsack:5"]),
+    m=st.integers(1, 4),
+    steps=st.integers(1, 25),
+    stride=st.integers(1, 6),
+    base_seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["constant", "inverse_sqrt", "inverse_t"]),
+)
+def test_lockstep_group_matches_single_trial_runs(
+    estimator, problem, m, steps, stride, base_seed, kind
+):
+    # The group reuses one noise buffer and decodes all rows at once; a
+    # trial must still see exactly what it sees when it runs alone.
+    cfg = _config(estimator=estimator, steps=steps, snapshot_every=stride,
+                  schedule=Schedule(kind, 0.3), x0=0.4)
+    spec = parse_problem(problem)
+    group = run_repeated(cfg, spec, m, base_seed)
+    for i, traj in enumerate(group):
+        key = (base_seed, i, 1) if spec.randomized else (base_seed, 0, 1)
+        oracle = spec.make(derive_rng(*key))
+        (solo,) = _run_group([replace(cfg, seed=traj.seed)], [oracle])
+        for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
+            assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name

@@ -257,6 +257,35 @@ def test_state_validation():
         encoded_esg(np.array([2.0]), "arch", oracle, rng)  # outside [-1/2, 1/2]
 
 
+def test_states_are_checked_at_every_public_entry():
+    oracle = TableOracle([0.0, 1.0])
+    rng = np.random.default_rng(0)
+    for bad in (0.0, 1.0, math.nan):
+        x = np.array([bad])
+        with pytest.raises(DomainError):
+            esg_given_noise(x, "arch", oracle, np.array([0.1]))
+        with pytest.raises(DomainError):
+            make_estimator("disarm").sample_batch(x, oracle, rng, 4)
+        with pytest.raises(DomainError):
+            estimate_mean_and_variance("reinforce", x, oracle, 4, rng)
+    for bad in (0.5, -0.5, math.nan, math.inf):  # arch encodes onto (-1/2, 1/2)
+        e = np.array([bad])
+        with pytest.raises(EncodingError):
+            encoded_esg_given_noise(e, "arch", oracle, np.array([0.1]))
+        with pytest.raises(EncodingError):
+            make_estimator("encoded_esg:arch").sample_batch(e, oracle, rng, 4)
+
+
+def test_keys_are_bool():
+    oracle = TableOracle(np.arange(4.0))
+    x = np.array([0.3, 0.6])
+    rng = np.random.default_rng(1)
+    for spec in ("esg:arch", "encoded_esg:arch", "naive", "reinforce", "arm", "disarm"):
+        est = make_estimator(spec)
+        assert est.sample(est.encode(x), oracle, rng).key.dtype == np.bool_, spec
+        assert est.sample_batch(est.encode(x), oracle, rng, 3).keys.dtype == np.bool_
+
+
 class _FlatAtOrigin(UniformInterval):
     # Uniform encoding whose density is reported as zero at the origin,
     # mimicking a tabulated cdf with a flat stretch.

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from sqgrad.harness import (
     run_experiment,
     write_outputs,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _traj(best, calls=None, estimator="esg:arch"):
@@ -279,6 +283,29 @@ def test_budget_must_fund_one_step(tmp_path, monkeypatch):
         tmp_path, budget=1, methods=[{"estimator": "arm", "eta": 0.1}]))
     with pytest.raises(ConfigError):
         run_experiment(spec)
+
+
+def test_odd_budget_carries_two_query_methods_to_the_budget(monkeypatch):
+    # arm and disarm spend 40 of 41 calls; the 41st cannot buy a sample,
+    # so their last running best is carried forward to the budget.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    spec = load_experiment_spec(REPO_ROOT / "configs" / "slice_d10.json")
+    spec = replace(spec, budget=41, n_trials=2)
+    result = run_experiment(spec)
+    assert result.grid[-1] == 41
+    for s in result.series:
+        assert s.oracle_calls[-1] == 41
+        if s.estimator in ("arm", "disarm"):
+            assert s.median[-1] == s.median[-2]
+
+
+def test_aggregate_rejects_a_grid_past_the_last_sample():
+    traj = _traj([1.0, 5.0], calls=[2, 4], estimator="arm")
+    traj.queries_per_sample = 2
+    s = aggregate([traj], np.array([2, 4, 5]))  # 5 is short of one more sample
+    np.testing.assert_allclose(s.median, [1.0, 5.0, 5.0])
+    with pytest.raises(ConfigError):
+        aggregate([traj], np.array([2, 6]))  # a whole sample beyond
 
 
 def test_experiment_spec_validation():

@@ -164,6 +164,82 @@ def test_query_batch_shape_checks():
         oracle.query_batch(np.ones((2, 5)))
     with pytest.raises(DomainError):
         oracle.query_batch(np.full((2, 4), 0.3))
+    with pytest.raises(DomainError):
+        oracle.query_batch(np.array([[0.0, 1.0, 2.0, 1.0]]))
+    # Bool keys are binary by type; the shape is still checked.
+    keys = np.array([[True, False, True, True], [False] * 4])
+    np.testing.assert_array_equal(
+        oracle.query_batch(keys), oracle.query_batch(keys.astype(float))
+    )
+    assert oracle.query(keys[0]) == oracle.query(keys[0].astype(int))
+    with pytest.raises(DimensionMismatchError):
+        oracle.query_batch(np.ones(4, dtype=bool))
+    with pytest.raises(DimensionMismatchError):
+        oracle.query_batch(np.ones((2, 5), dtype=bool))
+    with pytest.raises(DimensionMismatchError):
+        oracle.query(np.ones(3, dtype=bool))
+    assert oracle.call_count == 6  # rejected keys are not counted
+
+
+def _slice_formula(d, s):
+    """The slice objective written as its first-match select."""
+    s = np.asarray(s)
+    return np.select(
+        [
+            s == d,
+            np.abs(s - d // 2) <= np.floor(0.133 * d),
+            s <= np.floor(0.233 * d),
+        ],
+        [3.0, 18.0, -2.0],
+        default=0.0,
+    )
+
+
+def _knapsack_formula(target, s):
+    s = np.asarray(s)
+    return np.select(
+        [np.abs(s - target) <= 2, s > target + 2], [20.0, -5.0], default=0.0
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 24, 30, 101])
+def test_slice_value_table_matches_formula(d):
+    oracle = SymmetricSliceOracle(d)
+    weights = np.arange(d + 1)
+    expected = _slice_formula(d, weights)
+    assert oracle._by_weight.tobytes() == expected.tobytes()
+    keys = np.arange(d)[None, :] < weights[:, None]  # one key per weight
+    assert oracle.query_batch(keys).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_knapsack_value_table_matches_formula(seed):
+    rng = np.random.default_rng(seed)
+    oracle = make_knapsack(int(rng.integers(1, 30)), rng)
+    weights = np.arange(int(oracle.weights.sum()) + 1)
+    expected = _knapsack_formula(oracle.target, weights)
+    assert oracle._by_weight.tobytes() == expected.tobytes()
+    keys = rng.random((200, oracle.d)) < 0.5
+    want = _knapsack_formula(oracle.target, keys @ oracle.weights)
+    assert oracle.query_batch(keys).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_oracle_rejects_non_finite_values(bad):
+    values = np.arange(8.0)
+    values[5] = bad
+    with pytest.raises(DomainError, match="101"):
+        TableOracle(values)
+    with pytest.raises(DomainError, match="01"):
+        TableOracle.from_function(2, lambda y: bad if y[1] else 0.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_table_oracle_csv_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"bits,value\n00,1\n01,{bad}\n10,3\n11,4\n")
+    with pytest.raises(ConfigError, match="line 3.*'01'"):
+        TableOracle.from_csv(path)
 
 
 def test_parse_problem():
