@@ -12,6 +12,12 @@ update runs on e with the clamp mapped through the encoding, and states
 are decoded back to probabilities for reporting.  With the long-jump
 tuple the encoding is linear, so the two loops coincide step for step.
 
+Overflow is intended behaviour, not an error.  A finite oracle value
+near the float maximum (|Q| ~ 1e308) can make the gradient step
+overflow to an infinite one: numpy emits a ``RuntimeWarning``, the
+clamp pins those coordinates at their bounds, and the run goes on with
+finite states.  Only a NaN state (say, inf - inf) stops the run.
+
 Trajectories record the raw oracle response at every query together
 with the running best, which is what the benchmark harness aggregates.
 Randomness is derived from integer seeds through ``SeedSequence`` so

@@ -108,7 +108,8 @@ class SymmetricDistribution:
 
     def _check_prob_open(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0) or np.any(x >= 1.0):
+        # One pass each way; a NaN fails both comparisons and is rejected.
+        if x.size and not (x.min() > 0.0 and x.max() < 1.0):
             raise DomainError("inv_cdf expects probabilities strictly inside (0, 1)")
         return x
 
@@ -366,6 +367,12 @@ class TabulatedSymmetric(SymmetricDistribution):
     Inversion brackets the quantile on the grid and then bisects the
     interpolated cdf; the bracket is shrunk well below the documented
     1e-10 guarantee so downstream encode/decode round-trips are tight.
+    The table bracket lies in one PCHIP cell, so the bisection gathers
+    that cell's cubic once and evaluates it in place at each step, with
+    no interpolant call.  It sums the cubic in the order scipy's PPoly
+    sums it (a power sum, not Horner) and takes the table value at an
+    inner cell's right end, as PPoly does; every comparison, and so
+    every output bit, is that of bisecting :meth:`cdf` itself.
     """
 
     INV_TOL = 1e-13
@@ -413,14 +420,39 @@ class TabulatedSymmetric(SymmetricDistribution):
     def inv_cdf(self, x):
         x = self._check_prob_open(x)
         flat = np.atleast_1d(x)
-        # Bracket on the table, then refine against the interpolant.
+        grid, last = self._grid, self._grid.size - 1
+        # The table brackets each quantile in one PCHIP cell [lo, hi].
         j = np.clip(np.searchsorted(self._values, flat, side="left"), 1, None)
-        lo = self._grid[j - 1]
-        hi = self._grid[np.minimum(j, self._grid.size - 1)]
-        out = bisect_increasing(
-            self.cdf, flat, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
-        )
-        out = out.reshape(x.shape)
+        upper = np.minimum(j, last)
+        lo = grid[j - 1]
+        hi = grid[upper]
+        cell = upper - 1
+        left = grid[cell]
+        c0, c1, c2, c3 = self._interp.c[:, cell]
+        # PPoly reads an inner cell's right end from the next cell, where
+        # the cdf is the table value, which is >= x: the step goes left.
+        edge = np.where(upper < last, hi, np.inf)
+        mid, s, s2, cdf, term = (np.empty_like(flat) for _ in range(5))
+        right, inside = (np.empty(flat.shape, dtype=bool) for _ in range(2))
+        for _ in range(self.INV_MAX_ITER):
+            if np.subtract(hi, lo, out=term).max() < self.INV_TOL:
+                break
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            # The cubic summed in PPoly's order, c3 + c2 s + c1 (s s)
+            # + c0 ((s s) s), so cdf is bit for bit self.cdf(mid).
+            np.subtract(mid, left, out=s)
+            np.multiply(s, s, out=s2)
+            np.multiply(c2, s, out=cdf)
+            cdf += c3
+            cdf += np.multiply(c1, s2, out=term)
+            s2 *= s
+            cdf += np.multiply(c0, s2, out=term)
+            np.less(cdf, flat, out=right)
+            right &= np.less(mid, edge, out=inside)
+            np.putmask(lo, right, mid)
+            np.putmask(hi, np.logical_not(right, out=right), mid)
+        out = (0.5 * (lo + hi)).reshape(x.shape)
         return _maybe_scalar(out, x.ndim == 0)
 
 

@@ -272,8 +272,12 @@ def make_bigauss_cosine() -> GoodTuple:
     """1 - cos(z/2) weight smoothed by an equal mixture of N(+-pi, 1).
 
     The encoding cdf has no closed form; it is tabulated once per
-    process (4097 grid points over +-(pi + 8)) and inverted by monotone
-    interpolation with bisection refinement.
+    process (4097 grid points over +-(pi + 8)), interpolated with PCHIP
+    and inverted by bisection inside the cell that brackets each
+    quantile.  The bisection evaluates that cell's cubic exactly as the
+    interpolant does, so it makes the same comparisons as bisecting the
+    interpolated cdf and returns the same bits (see
+    :class:`~sqgrad.distributions.TabulatedSymmetric`).
     """
     return GoodTuple(
         name="bigauss_cosine",

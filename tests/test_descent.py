@@ -16,7 +16,7 @@ from sqgrad.descent import (
     sqd,
 )
 from sqgrad.errors import ConfigError, DomainError, ScheduleError
-from sqgrad.oracles import Oracle, SymmetricSliceOracle, parse_problem
+from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
 
 CONST = Schedule("constant", 0.1)
 
@@ -224,6 +224,23 @@ def test_non_finite_state_stops_the_run(estimator):
     match = rf"{estimator}: non-finite state at step \d+"
     with pytest.raises(DomainError, match=match):
         run(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
+
+
+@pytest.mark.parametrize(
+    "estimator", ["reinforce", "arm", "disarm", "esg:arch", "encoded_esg:arch"]
+)
+def test_overflowing_step_is_pinned_at_the_clamp(estimator):
+    # Finite values near the float maximum overflow the gradient step;
+    # numpy warns, the clamp pins the state and the run ends finite.
+    run = encoded_sqd if estimator.startswith("encoded") else sqd
+    oracle = TableOracle(np.where(np.arange(8) % 2, 1e308, -1e308))
+    cfg = _config(estimator=estimator, steps=50)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        traj, _ = run(cfg, oracle)
+    assert np.all(np.isfinite(traj.raw)) and np.all(np.isfinite(traj.snapshots))
+    pinned = np.minimum(np.abs(traj.final_x - cfg.clamp),
+                        np.abs(traj.final_x - (1.0 - cfg.clamp)))
+    assert np.all(pinned <= 1e-12)
 
 
 def test_tiny_clamp_is_rejected_before_the_run():

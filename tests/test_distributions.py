@@ -13,6 +13,7 @@ from sqgrad.distributions import (
     Triangular,
     TwoPoint,
     UniformInterval,
+    bisect_increasing,
     check_calibrated_key,
     parse_distribution,
 )
@@ -23,6 +24,7 @@ from sqgrad.errors import (
     NoDensityError,
     NotInvertibleError,
 )
+from sqgrad.tuples import make_bigauss_cosine
 
 CLOSED_FORM = [
     UniformInterval(0.5),
@@ -87,9 +89,13 @@ def test_inverse_round_trip(dist):
     np.testing.assert_allclose(dist.cdf(zs), xs, atol=1e-9)
 
 
-@pytest.mark.parametrize("dist", CLOSED_FORM, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize(
+    "dist",
+    CLOSED_FORM + [make_bigauss_cosine().sigma_hat],
+    ids=lambda d: type(d).__name__,
+)
 def test_inv_cdf_rejects_boundary(dist):
-    for bad in (0.0, 1.0, -0.1, 1.7):
+    for bad in (0.0, 1.0, -0.1, 1.7, math.nan, np.array([0.3, math.nan])):
         with pytest.raises(DomainError):
             dist.inv_cdf(bad)
 
@@ -178,6 +184,82 @@ def test_tabulated_symmetric_round_trip():
     assert tab.cdf(-2.0) == pytest.approx(0.0, abs=1e-12)
     assert tab.cdf(2.0) == pytest.approx(1.0, abs=1e-12)
     assert tab.density(3.0) == 0.0
+
+
+def _table_bisection(tab, x):
+    """The tabulated inverse as a table bracket plus bisection of tab.cdf.
+
+    This is the reference the cell-local bisection of inv_cdf must equal
+    bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(x)
+    grid = tab.grid
+    j = np.clip(np.searchsorted(tab._values, flat, side="left"), 1, None)
+    lo = grid[j - 1]
+    hi = grid[np.minimum(j, grid.size - 1)]
+    out = bisect_increasing(
+        tab.cdf, flat, lo, hi, tol=tab.INV_TOL, max_iter=tab.INV_MAX_ITER
+    ).reshape(x.shape)
+    return float(out) if x.ndim == 0 else out
+
+
+_GRID9 = np.linspace(-1.0, 1.0, 9)
+_GRID13 = np.linspace(-3.0, 3.0, 13)
+_TABLES = {
+    "bigauss": make_bigauss_cosine().sigma_hat,
+    # Ends at 0.9, so quantiles above it lie past the last grid point.
+    "below_one": TabulatedSymmetric(_GRID9, 0.05 + 0.85 * RaisedCosine(1.0).cdf(_GRID9)),
+    # Flat runs of 0s and 1s on both sides of a ramp.
+    "flat_runs": TabulatedSymmetric(_GRID13, Triangular(1.5).cdf(_GRID13)),
+    # Uneven cells far from 0: the short cells shrink to adjacent doubles
+    # before the widest meets INV_TOL, so bisection lands on a cell's
+    # right end, which PPoly evaluates in the next cell.
+    "uneven": TabulatedSymmetric(
+        [-625.0, -610.0, -361.0, 155.0, 345.0], [0.0, 0.5, 0.602, 0.744, 1.0]
+    ),
+}
+
+
+def _inner_values(tab):
+    return tab._values[(tab._values > 0.0) & (tab._values < 1.0)]
+
+
+def _special_quantiles(tab):
+    values = _inner_values(tab)
+    near = np.concatenate([np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+    ends = [5e-324, 1e-300, 1e-16, 0.5, 1.0 - 1e-16, np.nextafter(1.0, 0.0)]
+    x = np.concatenate([values, near, ends])
+    return x[(x > 0.0) & (x < 1.0)].tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_tabulated_inverse_matches_table_bisection_at_table_values(name):
+    # The batch matters: the widest bracket in it sets the step count.
+    tab = _TABLES[name]
+    for x in (_inner_values(tab), np.array(_special_quantiles(tab))):
+        assert np.array_equal(tab.inv_cdf(x), _table_bisection(tab, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TABLES)),
+    shape=st.sampled_from([(), (1,), (7,), (3, 4)]),
+    data=st.data(),
+)
+def test_tabulated_inverse_matches_table_bisection(name, shape, data):
+    tab = _TABLES[name]
+    quantile = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from(_special_quantiles(tab)),
+    )
+    size = int(np.prod(shape, dtype=int))
+    xs = data.draw(st.lists(quantile, min_size=size, max_size=size))
+    x = np.array(xs).reshape(shape)
+    arg = float(x) if x.ndim == 0 else x
+    got, want = tab.inv_cdf(arg), _table_bisection(tab, arg)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
 
 
 def test_tabulated_symmetric_construction_errors():

@@ -331,3 +331,9 @@ def test_encode_decode_round_trip():
         enc = make_estimator(f"encoded_esg:{name}")
         x = np.linspace(0.05, 0.95, 19)
         np.testing.assert_allclose(enc.decode(enc.encode(x)), x, atol=1e-9)
+        # The clamp bounds decode back to the probability clamp.
+        for delta in (1e-6, 1e-4, 1e-3, 0.1, 0.49):
+            bounds = enc.decode(np.array(enc.state_bounds(delta)))
+            np.testing.assert_allclose(
+                bounds, [delta, 1.0 - delta], rtol=0, atol=1e-12, err_msg=name
+            )
