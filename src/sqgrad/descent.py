@@ -162,6 +162,17 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     bounds, which keep every later state in the estimator's domain.  The
     step loop then trusts them, apart from one finiteness check of the
     states after each update.
+
+    Noise lives in one (noise_draws, m, d) buffer.  Each step fills
+    trial i's row ``buffer[:, i]`` from that trial's generator, one
+    ``draw_noise`` call per trial, and then maps the whole buffer to
+    noise with one ``noise_from`` call; row by row this is the noise a
+    lone ``draw_noise(rng, d)`` returns.
+
+    Every sample costs ``queries_per_sample`` oracle calls.  The counters
+    of the distinct oracles are read before and after the loop, and a
+    group whose oracles moved by anything else raises ``DomainError``;
+    a group must have its oracles to itself while it runs.
     """
     head = configs[0]
     for cfg in configs[1:]:
@@ -186,14 +197,18 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     rngs = [derive_rng(cfg.seed) for cfg in configs]
 
     raw = np.empty((m, steps * qps))
-    noise = np.empty((m, d))
+    draws = np.empty((est.noise_draws, m, d))
+    rows = [draws[:, i] for i in range(m)]
     snap_steps = [0]
     snaps = [np.array(est.decode(states))]
+    distinct = list({id(o): o for o in oracles}.values())
+    calls_before = sum(o.call_count for o in distinct)
 
     for t in range(1, steps + 1):
         eta = head.schedule.rate(t)
-        for i, rng in enumerate(rngs):
-            noise[i] = est.draw_noise(rng, d)
+        for rng, row in zip(rngs, rows):
+            est.draw_noise(rng, d, draws=row)
+        noise = est.noise_from(draws)
         batch = est.evaluate(states, noise, oracles[0] if shared else oracles)
         states = np.clip(states + sign * eta * batch.grads, lo, hi)
         if not np.isfinite(states).all():
@@ -205,6 +220,13 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
         if t % stride == 0:
             snap_steps.append(t)
             snaps.append(np.array(est.decode(states)))
+
+    made = sum(o.call_count for o in distinct) - calls_before
+    if made != m * steps * qps:
+        raise DomainError(
+            f"{est.spec}: the oracles counted {made} calls, but {m} trials x "
+            f"{steps} steps x {qps} queries per sample is {m * steps * qps}"
+        )
 
     calls = np.arange(1, steps * qps + 1, dtype=np.int64)
     running = np.maximum.accumulate if sign > 0 else np.minimum.accumulate

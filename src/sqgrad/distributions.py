@@ -16,9 +16,26 @@ The remaining families (:class:`Triangular`, :class:`HalfCosine`,
 :class:`RaisedCosine`, :class:`TabulatedSymmetric`) back the encoding
 side of the shipped estimator tuples and are constructed directly.
 
-All methods accept floats or numpy arrays; scalar input yields a float.
-Samplers consume a ``numpy.random.Generator`` so that streams can be
-derived and replayed deterministically.
+All methods accept floats or numpy arrays; scalar input yields a float,
+and ``sample(rng)`` with no size returns a float.  Samplers consume a
+``numpy.random.Generator`` so that streams can be derived and replayed
+deterministically.
+
+Each law defines its sampler once, as two halves:
+
+* ``draw(rng, out)`` writes the generator output into ``out``, of shape
+  ``(draws, *size)``: plane k holds the k-th generator call, in the
+  order the law consumes its stream;
+* ``from_draws(raw)`` maps such planes elementwise to noise, for any
+  shape behind the leading ``draws`` axis.
+
+``sample`` is ``from_draws`` after ``draw``.  A caller that fills the
+rows of one buffer from different generators can map the whole buffer
+in one pass and get, row by row, the bits ``sample`` would give.  Laws
+sampled by inverse transform do the whole transform in ``draw`` (their
+``from_draws`` only drops the plane axis), so a bisection stops on one
+call's entries alone and never couples rows drawn from different
+streams.
 """
 
 from __future__ import annotations
@@ -87,6 +104,8 @@ class SymmetricDistribution:
     """
 
     has_density: bool = True
+    #: Generator planes per noise entry, the leading axis of ``draw``'s ``out``.
+    draws: int = 1
 
     @property
     def support(self) -> tuple[float, float]:
@@ -101,10 +120,26 @@ class SymmetricDistribution:
     def density(self, z):
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out``, shape (draws, *size), with generator output.
+
+        The default is the whole inverse transform of one uniform plane.
+        """
+        u = rng.random(out=out[0])
         # random() lives in [0, 1); nudge exact zeros into the open interval.
-        u = np.maximum(rng.random(size), 1e-300)
-        return self.inv_cdf(u)
+        np.maximum(u, 1e-300, out=u)
+        out[0] = self.inv_cdf(u)
+
+    def from_draws(self, raw: np.ndarray) -> np.ndarray:
+        """Noise from ``draw`` output, elementwise over ``raw[k]``."""
+        return raw[0]
+
+    def sample(self, rng: np.random.Generator, size=None):
+        shape = (1,) if size is None else tuple(np.atleast_1d(size))
+        raw = np.empty((self.draws, *shape))
+        self.draw(rng, raw)
+        out = self.from_draws(raw)
+        return float(out[0]) if size is None else out
 
     def _check_prob_open(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -145,8 +180,11 @@ class UniformInterval(SymmetricDistribution):
         out = np.where(np.abs(z) <= c, 1.0 / (2.0 * c), 0.0)
         return _maybe_scalar(out, z.ndim == 0)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.half_width * (2.0 * rng.random(size) - 1.0)
+    def draw(self, rng, out):
+        rng.random(out=out[0])
+
+    def from_draws(self, raw):
+        return self.half_width * (2.0 * raw[0] - 1.0)
 
 
 @dataclass(frozen=True)
@@ -177,9 +215,12 @@ class TwoPoint(SymmetricDistribution):
     def density(self, z):
         raise NoDensityError("a two-point law has no density")
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def draw(self, rng, out):
+        rng.random(out=out[0])
+
+    def from_draws(self, raw):
         c = self.magnitude
-        return np.where(rng.random(size) < 0.5, -c, c)
+        return np.where(raw[0] < 0.5, -c, c)
 
 
 @dataclass(frozen=True)
@@ -188,6 +229,7 @@ class GaussianMixture(SymmetricDistribution):
 
     center: float
     scale: float
+    draws = 2
 
     #: inv_cdf bisection runs to this absolute tolerance in z.
     INV_TOL = 1e-12
@@ -232,9 +274,14 @@ class GaussianMixture(SymmetricDistribution):
         )
         return _maybe_scalar(out, x.ndim == 0)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return sign * self.center + self.scale * rng.standard_normal(size)
+    def draw(self, rng, out):
+        # The component's sign first, then the normal, as one stream.
+        rng.random(out=out[0])
+        rng.standard_normal(out=out[1])
+
+    def from_draws(self, raw):
+        sign = np.where(raw[0] < 0.5, -1.0, 1.0)
+        return sign * self.center + self.scale * raw[1]
 
 
 @dataclass(frozen=True)

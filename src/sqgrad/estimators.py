@@ -163,11 +163,34 @@ class Estimator:
 
     # ---------- noise ----------
 
-    def draw_noise(self, rng: np.random.Generator, d: int) -> np.ndarray:
-        raise NotImplementedError
+    #: Law of the perturbation noise eps (the threshold estimators).
+    noise_law: SymmetricDistribution
+
+    @property
+    def noise_draws(self) -> int:
+        """Generator planes per noise entry; see ``draw_noise``."""
+        return self.noise_law.draws
+
+    def draw_noise(
+        self, rng: np.random.Generator, d: int, *, draws: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """One realisation's noise, shape (d,).
+
+        Given ``draws``, a (noise_draws, d) buffer, write the generator
+        output there instead and return nothing; ``noise_from`` maps a
+        buffer of such rows to noise in one pass, with the same bits.
+        """
+        if draws is None:
+            return self.noise_law.sample(rng, d)
+        self.noise_law.draw(rng, draws)
+        return None
+
+    def noise_from(self, draws: np.ndarray) -> np.ndarray:
+        """Noise from a (noise_draws, ...) buffer filled by ``draw_noise``."""
+        return self.noise_law.from_draws(draws)
 
     def draw_noise_batch(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-        raise NotImplementedError
+        return self.noise_law.sample(rng, (n, d))
 
     def evaluate(self, states: np.ndarray, noise: np.ndarray, oracles) -> SampleBatch:
         """Evaluate one realisation per state row at the given noise.
@@ -220,13 +243,8 @@ class _EsgEstimator(Estimator):
 
     def __init__(self, tup: GoodTuple):
         self.tup = tup
+        self.noise_law = tup.sigma
         self.spec = f"esg:{tup.name}"
-
-    def draw_noise(self, rng, d):
-        return np.asarray(self.tup.sigma.sample(rng, d), dtype=float)
-
-    def draw_noise_batch(self, rng, n, d):
-        return np.asarray(self.tup.sigma.sample(rng, (n, d)), dtype=float)
 
     def _encoded_states(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if states.base is not None and states.strides[0] == 0:
@@ -256,6 +274,7 @@ class _EncodedEsgEstimator(Estimator):
 
     def __init__(self, tup: GoodTuple):
         self.tup = tup
+        self.noise_law = tup.sigma
         self.spec = f"encoded_esg:{tup.name}"
 
     def encode(self, x):
@@ -281,12 +300,6 @@ class _EncodedEsgEstimator(Estimator):
             raise EncodingError(
                 "encoded states must lie in the interior of the encoding support"
             )
-
-    def draw_noise(self, rng, d):
-        return np.asarray(self.tup.sigma.sample(rng, d), dtype=float)
-
-    def draw_noise_batch(self, rng, n, d):
-        return np.asarray(self.tup.sigma.sample(rng, (n, d)), dtype=float)
 
     def evaluate(self, states, noise, oracles):
         return _esg_from_encoded(self.tup, states, noise, oracles, dens=None)
@@ -318,22 +331,17 @@ class _NaiveEstimator(Estimator):
     queries_per_sample = 1
 
     def __init__(self, dist: SymmetricDistribution):
-        self.dist = dist
+        # The key thresholds inv_cdf(x) + eps with eps from the same law.
+        self.noise_law = dist
         self.spec = "naive"
-
-    def draw_noise(self, rng, d):
-        return np.asarray(self.dist.sample(rng, d), dtype=float)
-
-    def draw_noise_batch(self, rng, n, d):
-        return np.asarray(self.dist.sample(rng, (n, d)), dtype=float)
 
     def evaluate(self, states, noise, oracles):
         if states.base is not None and states.strides[0] == 0:
             e = np.broadcast_to(
-                np.atleast_1d(self.dist.inv_cdf(states[0])), states.shape
+                np.atleast_1d(self.noise_law.inv_cdf(states[0])), states.shape
             )
         else:
-            e = np.atleast_2d(self.dist.inv_cdf(states))
+            e = np.atleast_2d(self.noise_law.inv_cdf(states))
         keys = e + noise >= 0.0
         raw = _query_rows(keys, oracles)
         return SampleBatch(
@@ -349,9 +357,16 @@ class _ScoreEstimator(Estimator):
     """Common ground for the uniform-noise score-function estimators."""
 
     provides_value = False
+    noise_draws = 1
 
-    def draw_noise(self, rng, d):
-        return rng.random(d)
+    def draw_noise(self, rng, d, *, draws=None):
+        if draws is None:
+            return rng.random(d)
+        rng.random(out=draws[0])
+        return None
+
+    def noise_from(self, draws):
+        return draws[0]
 
     def draw_noise_batch(self, rng, n, d):
         return rng.random((n, d))

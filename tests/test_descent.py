@@ -226,6 +226,33 @@ def test_non_finite_state_stops_the_run(estimator):
         run(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
 
 
+class _UncountedOracle(Oracle):
+    """Answers 1.0 everywhere without touching the call counter."""
+
+    def query_batch(self, ys):
+        return np.ones(len(ys))
+
+
+@pytest.mark.parametrize("estimator", ["esg:arch", "naive", "reinforce", "arm"])
+def test_oracle_that_does_not_count_stops_the_run(estimator):
+    m, steps = 3, 4
+    qps = 2 if estimator == "arm" else 1
+    cfgs = [_config(estimator=estimator, steps=steps, seed=s) for s in range(m)]
+    match = rf"{estimator}: the oracles counted 0 calls, .* is {m * steps * qps}"
+    with pytest.raises(DomainError, match=match):
+        _run_group(cfgs, [_UncountedOracle(3)] * m)
+
+
+@pytest.mark.parametrize("problem", ["slice:6", "knapsack:6"])
+@pytest.mark.parametrize("estimator", ["esg:arch", "disarm"])
+def test_call_count_check_passes_shared_and_per_trial_oracles(estimator, problem):
+    # slice shares one oracle across the group, knapsack builds one per trial.
+    spec = parse_problem(problem)
+    cfg = _config(estimator=estimator, steps=7)
+    group = run_repeated(cfg, spec, 3, 5)
+    assert [traj.calls[-1] for traj in group] == [7 * group[0].queries_per_sample] * 3
+
+
 @pytest.mark.parametrize(
     "estimator", ["reinforce", "arm", "disarm", "esg:arch", "encoded_esg:arch"]
 )
@@ -252,7 +279,8 @@ def test_tiny_clamp_is_rejected_before_the_run():
 
 
 _KINDS = [
-    "esg:arch", "encoded_esg:bigauss_cosine", "naive", "reinforce", "arm", "disarm"
+    "esg:arch", "esg:longjump", "esg:bigauss_cosine", "encoded_esg:bigauss_cosine",
+    "naive", "reinforce", "arm", "disarm",
 ]
 
 

@@ -133,6 +133,59 @@ def test_sampling_shapes():
     assert u.sample(rng, (3, 2)).shape == (3, 2)
 
 
+def _sample_as_written_before(dist, rng, size):
+    """Each law's sampler in its one-call form, before draw/from_draws."""
+    if isinstance(dist, UniformInterval):
+        return dist.half_width * (2.0 * rng.random(size) - 1.0)
+    if isinstance(dist, TwoPoint):
+        c = dist.magnitude
+        return np.where(rng.random(size) < 0.5, -c, c)
+    if isinstance(dist, GaussianMixture):
+        sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+        return sign * dist.center + dist.scale * rng.standard_normal(size)
+    u = np.maximum(rng.random(size), 1e-300)
+    return dist.inv_cdf(u)
+
+
+_SAMPLED_LAWS = st.one_of(
+    st.floats(1e-3, 1e3).map(UniformInterval),
+    st.floats(1e-2, 1e2).map(TwoPoint),
+    st.builds(GaussianMixture, st.floats(0.0, 5.0), st.floats(0.05, 3.0)),
+    # Inverse transform: closed form, bisection, and a tabulated law.
+    st.sampled_from([Triangular(0.5), RaisedCosine(0.7), make_bigauss_cosine().sigma_hat]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=_SAMPLED_LAWS,
+    size=st.one_of(
+        st.none(),
+        st.integers(1, 12),
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_matches_the_one_call_sampler(dist, size, seed):
+    # draw then from_draws gives the bits of the one-call formulas and
+    # leaves the generator where they left it.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = dist.sample(rng, size)
+    want = np.asarray(_sample_as_written_before(dist, ref, size), dtype=float)
+    assert np.shape(got) == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "dist",
+    CLOSED_FORM + [TwoPoint(1.0), make_bigauss_cosine().sigma_hat],
+    ids=lambda d: type(d).__name__,
+)
+def test_sample_without_size_is_a_float(dist):
+    assert type(dist.sample(np.random.default_rng(0))) is float
+
+
 def test_two_point_law():
     tp = TwoPoint(1.0)
     assert tp.cdf(-1.5) == 0.0

@@ -337,3 +337,17 @@ def test_encode_decode_round_trip():
             np.testing.assert_allclose(
                 bounds, [delta, 1.0 - delta], rtol=0, atol=1e-12, err_msg=name
             )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_noise_buffer_matches_per_trial_draws(spec):
+    # Rows filled from separate generators and mapped in one pass give
+    # each trial the noise a lone draw_noise(rng, d) returns.
+    est = make_estimator(spec)
+    m, d = 5, 7
+    draws = np.empty((est.noise_draws, m, d))
+    for i in range(m):
+        assert est.draw_noise(np.random.default_rng(i), d, draws=draws[:, i]) is None
+    alone = np.stack([est.draw_noise(np.random.default_rng(i), d) for i in range(m)])
+    assert alone.shape == (m, d)
+    assert est.noise_from(draws).tobytes() == alone.tobytes()
