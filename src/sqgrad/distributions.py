@@ -36,6 +36,14 @@ sampled by inverse transform do the whole transform in ``draw`` (their
 ``from_draws`` only drops the plane axis), so a bisection stops on one
 call's entries alone and never couples rows drawn from different
 streams.
+
+The module needs numpy only.  :class:`TabulatedSymmetric` computes its
+PCHIP coefficients itself, with the formulas and the order of
+operations of scipy's ``PchipInterpolator``, and evaluates them as
+scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
+the cubic is summed in PPoly's order, so each value has scipy's bits.
+Only :meth:`GaussianMixture.cdf` (and so its ``inv_cdf``) imports scipy,
+for ``ndtr``, when first called.
 """
 
 from __future__ import annotations
@@ -45,8 +53,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -246,18 +252,34 @@ class GaussianMixture(SymmetricDistribution):
         return (-math.inf, math.inf)
 
     def cdf(self, z):
+        from scipy.special import ndtr
+
         z = np.asarray(z, dtype=float)
         m, s = self.center, self.scale
         out = 0.5 * (ndtr((z - m) / s) + ndtr((z + m) / s))
         return _maybe_scalar(np.asarray(out), z.ndim == 0)
 
     def density(self, z):
+        # (exp(-0.5 ((z - m) / s) ** 2) + exp(-0.5 ((z + m) / s) ** 2))
+        # / (2 s sqrt(2 pi)), evaluated in place: the bigauss encoding
+        # table calls it on a 2049 x 1536 grid.
         z = np.asarray(z, dtype=float)
         m, s = self.center, self.scale
-        a = np.exp(-0.5 * ((z - m) / s) ** 2)
-        b = np.exp(-0.5 * ((z + m) / s) ** 2)
-        out = (a + b) / (2.0 * s * math.sqrt(2.0 * math.pi))
-        return _maybe_scalar(out, z.ndim == 0)
+        a = self._bump(z - m)
+        a += self._bump(z + m)
+        a /= 2.0 * s * math.sqrt(2.0 * math.pi)
+        return _maybe_scalar(a, z.ndim == 0)
+
+    def _bump(self, t):
+        """exp(-0.5 (t / scale) ** 2), overwriting an array t.
+
+        A 0-d z reaches here as a numpy scalar, whose ``** 2`` is pow()
+        and not an array's square; the operators keep each one's bits.
+        """
+        t /= self.scale
+        t **= 2
+        t *= -0.5
+        return np.exp(t, out=t) if t.ndim else np.exp(t)
 
     def inv_cdf(self, x):
         x = self._check_prob_open(x)
@@ -402,24 +424,69 @@ class RaisedCosine(SymmetricDistribution):
         return _maybe_scalar(out, z.ndim == 0)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """PCHIP end slope: the one-sided three-point rule, shape-corrected."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients, shape (4, n - 1), of the PCHIP through (x, y).
+
+    Cell i holds c[0] s^3 + c[1] s^2 + c[2] s + c[3] with s = t - x[i].
+    The slopes follow scipy's ``PchipInterpolator`` (Fritsch-Butland
+    weighted harmonic means, zero at a sign change or a flat secant)
+    and the coefficients its ``CubicHermiteSpline``, op for op, so every
+    coefficient has scipy's bits.  Needs n >= 3 finite points with x
+    strictly increasing; very short cells can overflow to inf or NaN.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # Division by zero only where ``flat`` discards the result.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 class TabulatedSymmetric(SymmetricDistribution):
     """Law given by cdf values on a grid, interpolated monotonically.
 
     Intended for encodings whose cdf is only available numerically.
-    The grid must be strictly increasing and the values nondecreasing
-    within [0, 1]; the interpolant is monotone cubic (PCHIP), so the
-    tabulated monotonicity is preserved everywhere.  Outside the grid
-    the cdf saturates at its end values.
+    The grid must be finite and strictly increasing and the values
+    finite and nondecreasing within [0, 1]; the interpolant is monotone
+    cubic (PCHIP), so the tabulated monotonicity is preserved
+    everywhere.  Outside the grid the cdf saturates at its end values.
+
+    The cubic's coefficients are computed here once, with the formulas
+    and the order of operations of scipy's ``PchipInterpolator``, and
+    evaluated as its ``PPoly`` evaluates them: one cell lookup (cells
+    half-open, the last one closed) and a power sum, not Horner, for
+    the cdf and for the density.  So :meth:`cdf` and :meth:`density`
+    return, bit for bit, what scipy's interpolant and its derivative
+    return, and no scipy module is loaded.
 
     Inversion brackets the quantile on the grid and then bisects the
     interpolated cdf; the bracket is shrunk well below the documented
     1e-10 guarantee so downstream encode/decode round-trips are tight.
     The table bracket lies in one PCHIP cell, so the bisection gathers
     that cell's cubic once and evaluates it in place at each step, with
-    no interpolant call.  It sums the cubic in the order scipy's PPoly
-    sums it (a power sum, not Horner) and takes the table value at an
-    inner cell's right end, as PPoly does; every comparison, and so
-    every output bit, is that of bisecting :meth:`cdf` itself.
+    no call of :meth:`cdf`.  It sums the cubic in the same order and
+    takes the table value at an inner cell's right end, as the cell
+    lookup does; every comparison, and so every output bit, is that of
+    bisecting :meth:`cdf` itself.
     """
 
     INV_TOL = 1e-13
@@ -430,6 +497,8 @@ class TabulatedSymmetric(SymmetricDistribution):
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 4 or grid.shape != values.shape:
             raise ConstructionError("grid and values must be matching 1-D arrays")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ConstructionError("grid and tabulated cdf values must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ConstructionError("grid must be strictly increasing")
         if np.any(np.diff(values) < 0.0):
@@ -437,10 +506,15 @@ class TabulatedSymmetric(SymmetricDistribution):
         if values[0] < -1e-12 or values[-1] > 1.0 + 1e-12:
             raise ConstructionError("tabulated cdf values must lie in [0, 1]")
         values = np.clip(values, 0.0, 1.0)
+        # Tiny cdf steps overflow a harmonic-mean term to a zero slope,
+        # as in scipy; a cell too short for its step overflows the cubic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = _pchip_coefficients(grid, values)
+        if not np.isfinite(coef).all():
+            raise ConstructionError("a grid cell is too short for its cdf step")
         self._grid = grid
         self._values = values
-        self._interp = PchipInterpolator(grid, values, extrapolate=False)
-        self._deriv = self._interp.derivative()
+        self._coef = coef
 
     @property
     def support(self) -> tuple[float, float]:
@@ -450,17 +524,27 @@ class TabulatedSymmetric(SymmetricDistribution):
     def grid(self) -> np.ndarray:
         return self._grid
 
+    def _locate(self, z):
+        """Coefficients of the cell holding each z, clipped to the grid,
+        and the offset s of z from the cell's left end."""
+        grid = self._grid
+        t = np.clip(z, grid[0], grid[-1])
+        cell = np.minimum(np.searchsorted(grid, t, side="right") - 1, grid.size - 2)
+        return self._coef.take(cell, axis=1), t - grid[cell]
+
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
-        t = np.clip(z, self._grid[0], self._grid[-1])
-        out = np.asarray(self._interp(t))
+        (c0, c1, c2, c3), s = self._locate(z)
+        out = (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
         return _maybe_scalar(out, z.ndim == 0)
 
     def density(self, z):
         z = np.asarray(z, dtype=float)
         inside = (z >= self._grid[0]) & (z <= self._grid[-1])
-        t = np.clip(z, self._grid[0], self._grid[-1])
-        out = np.where(inside, np.asarray(self._deriv(t)), 0.0)
+        (c0, c1, c2, _), s = self._locate(z)
+        # The derivative's rows are 3 c0, 2 c1 and c2, summed from 0.0.
+        out = (0.0 + c2) + (2.0 * c1) * s + (3.0 * c0) * (s * s)
+        out = np.where(inside, out, 0.0)
         out = np.maximum(out, 0.0)
         return _maybe_scalar(out, z.ndim == 0)
 
@@ -475,9 +559,10 @@ class TabulatedSymmetric(SymmetricDistribution):
         hi = grid[upper]
         cell = upper - 1
         left = grid[cell]
-        c0, c1, c2, c3 = self._interp.c[:, cell]
-        # PPoly reads an inner cell's right end from the next cell, where
-        # the cdf is the table value, which is >= x: the step goes left.
+        c0, c1, c2, c3 = self._coef[:, cell]
+        # The cell lookup takes an inner cell's right end to the next
+        # cell, where the cdf is the table value, which is >= x: the
+        # step goes left.
         edge = np.where(upper < last, hi, np.inf)
         mid, s, s2, cdf, term = (np.empty_like(flat) for _ in range(5))
         right, inside = (np.empty(flat.shape, dtype=bool) for _ in range(2))
@@ -486,7 +571,7 @@ class TabulatedSymmetric(SymmetricDistribution):
                 break
             np.add(lo, hi, out=mid)
             mid *= 0.5
-            # The cubic summed in PPoly's order, c3 + c2 s + c1 (s s)
+            # The cubic summed in cdf's order, c3 + c2 s + c1 (s s)
             # + c0 ((s s) s), so cdf is bit for bit self.cdf(mid).
             np.subtract(mid, left, out=s)
             np.multiply(s, s, out=s2)

@@ -32,6 +32,10 @@ The bi-Gaussian construction works because the mixture's characteristic
 function vanishes at frequency 1/2, which kills the oscillating part of
 the smoothed f; its encoding cdf has no closed form and is tabulated by
 quadrature at build time.
+
+:func:`validate_tuple` and :func:`convolution_check` integrate with
+scipy's ``quad``, imported when they run; the rest of the module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .distributions import (
     GaussianMixture,
@@ -359,6 +362,8 @@ def _density_bounds(sigma: SymmetricDistribution) -> tuple[float, float]:
 
 def _smoothed_f(tup: GoodTuple, e: float) -> float:
     """E_{eps ~ sigma}[ f(e + eps) ] by adaptive quadrature."""
+    from scipy.integrate import quad
+
     lo, hi = _density_bounds(tup.sigma)
     pts = sorted(k - e for k in tup.kinks if lo < k - e < hi)
     val, _ = quad(
@@ -433,6 +438,8 @@ def convolution_check(tup: GoodTuple, z_grid=None) -> ConvolutionReport:
     Raises :class:`NoDensityError` when sigma has no density (the
     two-point law); use :func:`validate_tuple` there instead.
     """
+    from scipy.integrate import quad
+
     if not tup.sigma.has_density:
         raise NoDensityError("convolution check needs sigma to have a density")
     if z_grid is None:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from sqgrad.distributions import (
     GaussianMixture,
@@ -13,6 +14,7 @@ from sqgrad.distributions import (
     Triangular,
     TwoPoint,
     UniformInterval,
+    _pchip_coefficients,
     bisect_increasing,
     check_calibrated_key,
     parse_distribution,
@@ -325,6 +327,153 @@ def test_tabulated_symmetric_construction_errors():
         TabulatedSymmetric(g, np.linspace(1, 0, 9))
     with pytest.raises(ConstructionError):
         TabulatedSymmetric(g, np.linspace(0, 1.5, 9))
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in (0, 4, 8):
+            grid, values = g.copy(), np.linspace(0, 1, 9)
+            grid[i] = bad
+            with pytest.raises(ConstructionError):
+                TabulatedSymmetric(grid, values)
+            grid, values[i] = g, bad
+            with pytest.raises(ConstructionError):
+                TabulatedSymmetric(grid, values)
+    # A cell so short that its secant slope overflows.
+    with pytest.raises(ConstructionError):
+        TabulatedSymmetric([0.0, 1e-310, 1.0, 2.0, 3.0], [0.0, 0.5, 0.6, 0.9, 1.0])
+
+
+def _scipy_cdf_and_density(grid, values, z):
+    """Coefficients, cdf and density as TabulatedSymmetric computed them
+    with scipy's PchipInterpolator: its own PCHIP must equal them bit for bit."""
+    interp = PchipInterpolator(grid, values, extrapolate=False)
+    z = np.asarray(z, dtype=float)
+    t = np.clip(z, grid[0], grid[-1])
+    inside = (z >= grid[0]) & (z <= grid[-1])
+    density = np.maximum(np.where(inside, interp.derivative()(t), 0.0), 0.0)
+    return interp.c, interp(t), density
+
+
+def _probe_points(grid, extra):
+    """Breakpoints, their float neighbours, points outside the grid, NaN."""
+    span = grid[-1] - grid[0]
+    return np.concatenate([
+        extra, grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [grid[0] - span, grid[-1] + span, -np.inf, np.inf, np.nan],
+    ])
+
+
+def _assert_pchip_matches_scipy(tab, z):
+    # Subnormal cdf steps overflow a harmonic-mean term, here as in scipy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, cdf, density = _scipy_cdf_and_density(tab.grid, tab._values, z)
+    assert tab._coef.tobytes() == coef.tobytes()
+    assert np.array_equal(tab.cdf(z), cdf, equal_nan=True)
+    assert np.array_equal(tab.density(z), density)
+    # Scalars, the last of them NaN, give floats with the same bits.
+    for i in [*range(0, z.size, 7), z.size - 1]:
+        got = tab.cdf(float(z[i]))
+        assert type(got) is float
+        assert np.array_equal(got, cdf[i], equal_nan=True)
+        assert tab.density(float(z[i])) == density[i]
+
+
+def test_bigauss_pchip_matches_scipy():
+    tab = make_bigauss_cosine().sigma_hat
+    z = np.random.default_rng(5).uniform(-15.0, 15.0, 20_000)
+    _assert_pchip_matches_scipy(tab, _probe_points(tab.grid, z))
+
+
+@st.composite
+def _tables(draw):
+    """A strictly increasing uneven grid and nondecreasing values in
+    [0, 1] with flat runs (repeated steps of 0, exact 0s and 1s)."""
+    n = draw(st.integers(4, 12))
+    gaps = draw(st.lists(st.floats(1e-3, 50.0), min_size=n - 1, max_size=n - 1))
+    start = draw(st.floats(-700.0, 700.0))
+    grid = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    steps = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n - 1, max_size=n - 1))
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    values = values / values[-1] if values[-1] > 0 else values
+    low = draw(st.floats(0.0, 0.5))
+    return grid, np.clip(low + (1.0 - low) * values, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), seed=st.integers(0, 2**32 - 1))
+def test_tabulated_pchip_matches_scipy(table, seed):
+    grid, values = table
+    tab = TabulatedSymmetric(grid, values)
+    span = grid[-1] - grid[0]
+    z = np.random.default_rng(seed).uniform(
+        grid[0] - 0.1 * span, grid[-1] + 0.1 * span, 500)
+    _assert_pchip_matches_scipy(tab, _probe_points(grid, z))
+
+
+# The two shape corrections of the end slopes: a one-sided estimate of
+# the wrong sign is set to 0, and one more than 3 times the end secant,
+# where the secants change sign, is cut to 3 times it.
+_END_SLOPE_ZERO = ([0.0, 1.0, 2.0, 3.0], [0.0, 0.01, 0.9, 1.0])
+_END_SLOPE_CUT = ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -5.0, -4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@example(*_END_SLOPE_ZERO)
+@example(*_END_SLOPE_CUT)
+@example(_END_SLOPE_CUT[0], [-y for y in _END_SLOPE_CUT[1]][::-1])  # at the right end
+@given(
+    x=st.lists(st.floats(1e-6, 100.0), min_size=2, max_size=9).map(
+        lambda gaps: np.concatenate([[-5.0], -5.0 + np.cumsum(gaps)])),
+    y=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1e3, 1e3)),
+               min_size=10, max_size=10),
+)
+def test_pchip_coefficients_match_scipy(x, y):
+    # Any finite data, not only monotone tables, so both corrections run.
+    x, y = np.asarray(x, dtype=float), np.array(y[: len(x)])
+    with np.errstate(over="ignore"):  # subnormal y steps, in scipy as here
+        want = PchipInterpolator(x, y).c
+        assert _pchip_coefficients(x, y).tobytes() == want.tobytes()
+
+
+def test_end_slope_corrections_are_taken():
+    x, y = map(np.array, _END_SLOPE_ZERO)
+    assert _pchip_coefficients(x, y)[2, 0] == 0.0
+    x, y = map(np.array, _END_SLOPE_CUT)
+    assert _pchip_coefficients(x, y)[2, 0] == 3.0 * (y[1] - y[0]) / (x[1] - x[0])
+
+
+def _mixture_density_as_written_before(dist, z):
+    z = np.asarray(z, dtype=float)
+    m, s = dist.center, dist.scale
+    a = np.exp(-0.5 * ((z - m) / s) ** 2)
+    b = np.exp(-0.5 * ((z + m) / s) ** 2)
+    out = (a + b) / (2.0 * s * math.sqrt(2.0 * math.pi))
+    return float(out) if z.ndim == 0 else out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=st.builds(GaussianMixture, st.floats(0.0, 10.0), st.floats(0.01, 10.0)),
+    shape=st.sampled_from([(), (1,), (9,), (4, 5)]),
+    data=st.data(),
+)
+def test_mixture_density_in_place_matches_the_formula(dist, shape, data):
+    size = int(np.prod(shape, dtype=int))
+    zs = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=size, max_size=size))
+    z = np.array(zs).reshape(shape)
+    arg = float(z) if z.ndim == 0 else z
+    got, want = dist.density(arg), _mixture_density_as_written_before(dist, arg)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_mixture_density_of_floats_matches_the_formula():
+    # A float's square goes through pow(), which rounds differently from
+    # an array's square for about 1 value in 1000: sweep many floats.
+    dist = GaussianMixture(math.pi, 1.0)
+    for z in np.random.default_rng(8).uniform(-12.0, 12.0, 4000).tolist():
+        got, want = dist.density(z), _mixture_density_as_written_before(dist, z)
+        assert type(got) is float
+        assert got == want, z
 
 
 def test_parse_distribution():

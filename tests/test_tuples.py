@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,41 @@ def test_bigauss_closed_form_self_check():
 
     for z in (-1.3, 0.4, 2.2):
         assert _bigauss_encoding_closed_form(z) == pytest.approx(by_quad(z), abs=1e-12)
+
+
+_NO_SCIPY_ON_IMPORT = """
+import math, sys
+import numpy as np
+import sqgrad, sqgrad.cli, sqgrad.harness
+from sqgrad import (
+    DescentConfig, GaussianMixture, Schedule, TUPLE_NAMES, TableOracle,
+    estimate_mean_and_variance, get_tuple, parse_problem, run_repeated,
+    validate_tuple,
+)
+
+for name in TUPLE_NAMES:
+    get_tuple(name)
+config = DescentConfig("esg:bigauss_cosine", 20, Schedule("constant", 0.05))
+run_repeated(config, parse_problem("knapsack:8"), 2, 3)
+oracle = TableOracle(np.arange(8.0))
+estimate_mean_and_variance("esg:bigauss_cosine", np.full(3, 0.4), oracle, 500,
+                           np.random.default_rng(0))
+loaded = sorted(key for key in sys.modules if key.startswith("scipy"))
+assert not loaded, loaded
+
+# The functions that need scipy load it when they are called.
+assert 0.5 < GaussianMixture(math.pi, 1.0).cdf(0.3) < 1.0
+assert validate_tuple(get_tuple("spike")).max_residual < 1e-9
+print("ok")
+"""
+
+
+def test_import_and_descent_load_no_scipy():
+    # A fresh interpreter: this one has imported scipy for the tests.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_ON_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
