@@ -44,6 +44,15 @@ scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
 the cubic is summed in PPoly's order, so each value has scipy's bits.
 Only :meth:`GaussianMixture.cdf` (and so its ``inv_cdf``) imports scipy,
 for ``ndtr``, when first called.
+
+:meth:`TabulatedSymmetric.inv_cdf` bisects each quantile's PCHIP cell
+until the call's widest bracket is below ``INV_TOL``.  It replays most
+of the rounds, steering the loop's own midpoints by a Newton root of
+the cell's cubic, certifies each entry against a proven bound on the
+cubic's rounding error, redoes the few that fail with the exact
+comparison, and runs the last rounds exactly: the round count and
+every output bit are those of bisecting its cdf.  Inverses by bisection
+return an empty array, of the input's shape, for an empty input.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ def bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape).copy()
     for _ in range(max_iter):
-        if np.max(hi - lo) < tol:
+        if np.max(hi - lo, initial=0.0) < tol:
             break
         mid = 0.5 * (lo + hi)
         right = fn(mid) < x
@@ -486,11 +495,53 @@ class TabulatedSymmetric(SymmetricDistribution):
     no call of :meth:`cdf`.  It sums the cubic in the same order and
     takes the table value at an inner cell's right end, as the cell
     lookup does; every comparison, and so every output bit, is that of
-    bisecting :meth:`cdf` itself.
+    bisecting :meth:`cdf` itself.  The loop runs until the widest
+    bracket of the call is below ``INV_TOL``.
+
+    Most of its rounds are replayed, not evaluated.  The stop rule is
+    certain to run the first few rounds (a lower bound on the widest
+    bracket, :meth:`_certain_rounds`); all of them but the last
+    ``INV_TAIL`` take the loop's own midpoint ``0.5 (lo + hi)`` and
+    decide it by ``mid < r``, r a Newton root of the cell's cubic, in a
+    handful of numpy calls and no cubic.  Then each entry is certified:
+    a ``lo`` that moved must have ``cubic(lo) < x - M`` and a ``hi`` that
+    moved ``cubic(hi) >= x + M``.  M is the cell's margin,
+    eps (4 |c3| + 64 S) with S = |c2| h + |c1| h^2 + |c0| h^3: twice the
+    rounding error of the summed cubic (gamma_3 of c3, gamma_4 of each
+    other term; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1 and 5.1) and that of x -+ M come to under
+    4 eps |c3| + 5 eps S; the rest covers the distance of the cubic with
+    rounded coefficients from the Hermite cubic through the cell's end
+    values and slopes, which PCHIP's slopes make monotone (Fritsch &
+    Carlson, *SIAM J. Numer. Anal.* 1980).
+
+    Why a certified entry ends where the exact loop does.  ``lo`` only
+    rises, to midpoints below r, and ``hi`` only falls, to midpoints at
+    or above r.  Each midpoint m sent to ``lo`` lies at or left of the
+    final ``lo``, and below r, which is at most the cell's right end, so
+    the edge rule lets it go; if ``lo`` moved, the offset ``m - left``
+    rounds monotonically, so the computed cubic at m exceeds the one at
+    ``lo`` by less than M, and cubic(m) < x: the exact loop sends m to
+    ``lo`` as well.  Likewise each midpoint sent to a moved ``hi`` has
+    cubic(m) >= x, and goes to ``hi`` in the exact loop too.  A bound
+    that never moved was only decided at its own value, as the midpoint
+    of a bracket with no float inside.  There the exact loop agrees (the
+    cubic is c3 < x at an inner cell's left end, and the edge rule holds
+    at its right end), or it collapses the bracket onto that value, and
+    then the first exact round after the replay, deciding the same
+    midpoint, collapses it too.  So after that round, by induction, each bracket
+    is the exact loop's.  An entry that fails redoes its rounds with
+    the exact comparison; then every entry finishes with the exact loop
+    under its unchanged stop rule (the first ``INV_TAIL`` rounds of it
+    are certain), so the round count and every output bit are those of
+    the exact loop from the start.  A table whose widest bracket leaves
+    no round to replay runs only the exact loop.
     """
 
     INV_TOL = 1e-13
     INV_MAX_ITER = 200
+    #: Rounds inv_cdf leaves to the exact loop after its replay.
+    INV_TAIL = 10
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
         grid = np.asarray(grid, dtype=float)
@@ -512,9 +563,21 @@ class TabulatedSymmetric(SymmetricDistribution):
             coef = _pchip_coefficients(grid, values)
         if not np.isfinite(coef).all():
             raise ConstructionError("a grid cell is too short for its cdf step")
+        h = np.diff(grid)
+        c0, c1, c2, c3 = coef
+        spread = h * (np.abs(c2) + h * (np.abs(c1) + h * np.abs(c0)))
+        finfo = np.finfo(float)
+        margin = finfo.eps * (4.0 * np.abs(c3) + 64.0 * spread) + finfo.tiny
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_secant = h / np.diff(values)
         self._grid = grid
         self._values = values
-        self._coef = coef
+        self._reach = float(max(abs(grid[0]), abs(grid[-1])))
+        # Per cell, for inv_cdf to gather in one take: the coefficients,
+        # the chord's inverse slope for the replay's root estimate and the
+        # certificate's margin M (see the class docstring).
+        self._cells = np.vstack((coef, inv_secant, margin))
+        self._coef = self._cells[:4]
 
     @property
     def support(self) -> tuple[float, float]:
@@ -553,39 +616,132 @@ class TabulatedSymmetric(SymmetricDistribution):
         flat = np.atleast_1d(x)
         grid, last = self._grid, self._grid.size - 1
         # The table brackets each quantile in one PCHIP cell [lo, hi].
-        j = np.clip(np.searchsorted(self._values, flat, side="left"), 1, None)
+        j = np.maximum(np.searchsorted(self._values, flat, side="left"), 1)
         upper = np.minimum(j, last)
         lo = grid[j - 1]
         hi = grid[upper]
         cell = upper - 1
         left = grid[cell]
-        c0, c1, c2, c3 = self._coef[:, cell]
+        cells = self._cells.take(cell, axis=1)
+        coef = cells[:4]
         # The cell lookup takes an inner cell's right end to the next
         # cell, where the cdf is the table value, which is >= x: the
         # step goes left.
         edge = np.where(upper < last, hi, np.inf)
-        mid, s, s2, cdf, term = (np.empty_like(flat) for _ in range(5))
-        right, inside = (np.empty(flat.shape, dtype=bool) for _ in range(2))
-        for _ in range(self.INV_MAX_ITER):
-            if np.subtract(hi, lo, out=term).max() < self.INV_TOL:
-                break
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            # The cubic summed in cdf's order, c3 + c2 s + c1 (s s)
-            # + c0 ((s s) s), so cdf is bit for bit self.cdf(mid).
-            np.subtract(mid, left, out=s)
-            np.multiply(s, s, out=s2)
-            np.multiply(c2, s, out=cdf)
-            cdf += c3
-            cdf += np.multiply(c1, s2, out=term)
-            s2 *= s
-            cdf += np.multiply(c0, s2, out=term)
-            np.less(cdf, flat, out=right)
-            right &= np.less(mid, edge, out=inside)
-            np.putmask(lo, right, mid)
-            np.putmask(hi, np.logical_not(right, out=right), mid)
+        certain = self._certain_rounds(np.subtract(hi, lo).max(initial=0.0))
+        k = max(certain - self.INV_TAIL, 0)
+        if k:
+            lo0, hi0 = lo, hi
+            lo, hi = _replay(flat, lo, hi, left, cells, k)
+            redo = ~_certified(flat, lo0, hi0, lo, hi, left, cells)
+            if redo.any():
+                lo_r, hi_r = lo0[redo], hi0[redo]
+                _exact_rounds(
+                    flat[redo], lo_r, hi_r, left[redo], coef[:, redo], edge[redo],
+                    k, k, self.INV_TOL,
+                )
+                lo[redo], hi[redo] = lo_r, hi_r
+        _exact_rounds(
+            flat, lo, hi, left, coef, edge, certain - k, self.INV_MAX_ITER - k, self.INV_TOL
+        )
         out = (0.5 * (lo + hi)).reshape(x.shape)
         return _maybe_scalar(out, x.ndim == 0)
+
+    def _certain_rounds(self, widest: float) -> int:
+        """Rounds the stop rule max(hi - lo) < INV_TOL is certain to run.
+
+        w_k bounds the real width of the widest bracket from below: a
+        round halves it, less the midpoint's rounding, at most ``slip``
+        (u times the grid's reach, plus a subnormal halving's), and the
+        stop rule sees at least (1 - u) w_k (u = 2**-53), so round k runs
+        while ``shrink w_k >= INV_TOL``; shrink = 1 - 8u also covers the
+        rounding of this arithmetic.  With a = shrink / 2 the bound
+        is w_k = a**k (w_0 + c) - c for c = slip / (1 - a), and rounds
+        k = 0 .. floor(log(top / floor) / log(1 / a)) run, taken a hair
+        low against the rounding of the logarithms.
+        """
+        shrink = 1.0 - 2.0**-50
+        a = 0.5 * shrink
+        c = (2.0**-53 * self._reach + 2.0**-1074) / (1.0 - a)
+        top, floor = float(widest) * shrink + c, self.INV_TOL / shrink + c
+        last = math.floor((math.log(top) - math.log(floor)) / -math.log(a) - 1e-9)
+        return min(max(last + 1, 0), self.INV_MAX_ITER)
+
+
+def _replay(x, lo, hi, left, cells, rounds):
+    """The bisection's first ``rounds`` rounds, each decided by ``mid < r``.
+
+    r estimates the root of the cell's cubic: the chord, then two Newton
+    steps with the slope at the chord's root, clipped to the bracket (a
+    NaN goes to ``lo``).
+    """
+    c0, c1, c2, c3, inv_secant, _ = cells
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = np.subtract(x, c3)
+        s = step * inv_secant
+        slope = 3.0 * c0
+        slope *= s
+        slope += 2.0 * c1
+        slope *= s
+        slope += c2
+        for _ in range(2):
+            q = c0 * s
+            q += c1
+            q *= s
+            q += c2
+            q *= s
+            q -= step
+            q /= slope
+            s -= q
+        r = np.fmin(np.fmax(left + s, lo), hi)
+    for _ in range(rounds):
+        mid = lo + hi
+        mid *= 0.5
+        right = mid < r
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return lo, hi
+
+
+def _certified(x, lo0, hi0, lo, hi, left, cells):
+    """Whether each entry's replayed decisions are all the exact ones."""
+    s = np.subtract(np.stack((lo, hi)), left)
+    cdf_lo, cdf_hi = _cell_cdf(cells[:4], s, *(np.empty_like(s) for _ in range(3)))
+    margin = cells[5]
+    ok = (lo == lo0) | (cdf_lo < x - margin)
+    ok &= (hi == hi0) | (cdf_hi >= x + margin)
+    return ok
+
+
+def _cell_cdf(coef, s, cdf, s2, term):
+    """c3 + c2 s + c1 (s s) + c0 ((s s) s) into ``cdf``, summed in the
+    order of :meth:`TabulatedSymmetric.cdf`, so with its bits."""
+    c0, c1, c2, c3 = coef
+    np.multiply(s, s, out=s2)
+    np.multiply(c2, s, out=cdf)
+    cdf += c3
+    cdf += np.multiply(c1, s2, out=term)
+    s2 *= s
+    cdf += np.multiply(c0, s2, out=term)
+    return cdf
+
+
+def _exact_rounds(x, lo, hi, left, coef, edge, certain, most, tol):
+    """Bisect each cell's cubic for x in place, comparing ``_cell_cdf``
+    at the midpoint with x: ``certain`` rounds, then more, up to
+    ``most`` in all, until max(hi - lo) < tol before a round."""
+    mid, s, s2, cdf, term = (np.empty_like(x) for _ in range(5))
+    right, inside = (np.empty(x.shape, dtype=bool) for _ in range(2))
+    for done in range(most):
+        if done >= certain and np.subtract(hi, lo, out=term).max(initial=0.0) < tol:
+            break
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        _cell_cdf(coef, np.subtract(mid, left, out=s), cdf, s2, term)
+        np.less(cdf, x, out=right)
+        right &= np.less(mid, edge, out=inside)
+        np.putmask(lo, right, mid)
+        np.putmask(hi, np.logical_not(right, out=right), mid)
 
 
 _DIST_PATTERN = re.compile(r"^\s*([a-z_]+)\s*\(\s*([^)]*)\s*\)\s*$")

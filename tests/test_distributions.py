@@ -128,11 +128,15 @@ def test_sampling_follows_cdf(dist):
 
 
 def test_sampling_shapes():
-    u = UniformInterval(0.5)
     rng = np.random.default_rng(0)
-    assert np.shape(u.sample(rng)) == ()
-    assert u.sample(rng, 7).shape == (7,)
-    assert u.sample(rng, (3, 2)).shape == (3, 2)
+    for dist in CLOSED_FORM + [TwoPoint(1.0), make_bigauss_cosine().sigma_hat]:
+        assert np.shape(dist.sample(rng)) == ()
+        for size, shape in ((7, (7,)), ((3, 2), (3, 2)), (0, (0,)), ((0, 3), (0, 3))):
+            assert dist.sample(rng, size).shape == shape
+        if not isinstance(dist, TwoPoint):
+            # Inverses by bisection too: no entries, no rounds.
+            for x in (np.array([]), np.empty((0, 3))):
+                assert dist.inv_cdf(x).shape == x.shape
 
 
 def _sample_as_written_before(dist, rng, size):
@@ -288,6 +292,15 @@ def _special_quantiles(tab):
     return x[(x > 0.0) & (x < 1.0)].tolist()
 
 
+def _quantiles(tab):
+    return st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        # The descent's clamp keeps its states in here.
+        st.floats(1e-4, 1.0 - 1e-4),
+        st.sampled_from(_special_quantiles(tab)),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(_TABLES))
 def test_tabulated_inverse_matches_table_bisection_at_table_values(name):
     # The batch matters: the widest bracket in it sets the step count.
@@ -296,18 +309,27 @@ def test_tabulated_inverse_matches_table_bisection_at_table_values(name):
         assert np.array_equal(tab.inv_cdf(x), _table_bisection(tab, x))
 
 
+def test_tabulated_inverse_matches_table_bisection_where_replay_fails():
+    # Each root sits on its cell's first midpoint, where the cubic meets
+    # x with no margin: no replayed decision there is certified, and
+    # the redo stage has to restore the exact ones.
+    tab = _TABLES["bigauss"]
+    grid = tab.grid
+    cells = np.arange(1000, 3000, 25)
+    x = tab.cdf(0.5 * (grid[cells] + grid[cells + 1]))
+    assert np.array_equal(tab.inv_cdf(x), _table_bisection(tab, x))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     name=st.sampled_from(sorted(_TABLES)),
-    shape=st.sampled_from([(), (1,), (7,), (3, 4)]),
+    # (20, 24): a lockstep descent's states on knapsack:24.
+    shape=st.sampled_from([(), (1,), (7,), (3, 4), (20, 24)]),
     data=st.data(),
 )
 def test_tabulated_inverse_matches_table_bisection(name, shape, data):
     tab = _TABLES[name]
-    quantile = st.one_of(
-        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        st.sampled_from(_special_quantiles(tab)),
-    )
+    quantile = _quantiles(tab)
     size = int(np.prod(shape, dtype=int))
     xs = data.draw(st.lists(quantile, min_size=size, max_size=size))
     x = np.array(xs).reshape(shape)
@@ -315,6 +337,19 @@ def test_tabulated_inverse_matches_table_bisection(name, shape, data):
     got, want = tab.inv_cdf(arg), _table_bisection(tab, arg)
     assert type(got) is type(want)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 20), st.integers(1, 24)), data=st.data())
+def test_bigauss_inverse_is_batch_independent(shape, data):
+    # Lockstep descent inverts all trials' states in one call, so the
+    # group size must not change a row's bits.
+    tab = _TABLES["bigauss"]
+    size = shape[0] * shape[1]
+    x = np.array(data.draw(st.lists(_quantiles(tab), min_size=size, max_size=size)))
+    x = x.reshape(shape)
+    rows = np.stack([tab.inv_cdf(row) for row in x])
+    assert np.array_equal(tab.inv_cdf(x), rows)
 
 
 def test_tabulated_symmetric_construction_errors():
