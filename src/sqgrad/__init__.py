@@ -13,16 +13,14 @@ from .descent import (
     Trajectory,
     derive_rng,
     derive_seed,
-    encoded_sqd,
+    descend,
     run_repeated,
-    sqd,
 )
 from .distributions import (
     GaussianMixture,
     SymmetricDistribution,
     TwoPoint,
     UniformInterval,
-    parse_distribution,
 )
 from .errors import (
     ConfigError,
@@ -42,16 +40,8 @@ from .estimators import (
     Estimator,
     EstimatorSample,
     MomentSummary,
-    arm,
-    disarm,
-    encoded_esg,
-    encoded_esg_given_noise,
-    esg,
-    esg_given_noise,
     estimate_mean_and_variance,
     make_estimator,
-    naive_value,
-    reinforce,
 )
 from .exact import (
     MAX_EXACT_DIM,
@@ -80,7 +70,6 @@ from .oracles import (
     ProblemSpec,
     SymmetricSliceOracle,
     TableOracle,
-    hamming_weight,
     make_knapsack,
     parse_problem,
 )
@@ -103,20 +92,19 @@ __all__ = [
     "ScheduleError", "EncodingError", "ConfigError", "EmptyInputError",
     # distributions and tuples
     "SymmetricDistribution", "UniformInterval", "TwoPoint", "GaussianMixture",
-    "parse_distribution", "GoodTuple", "TUPLE_NAMES", "get_tuple", "register_tuple",
-    "validate_tuple", "convolution_check",
+    "GoodTuple", "TUPLE_NAMES", "get_tuple", "register_tuple", "validate_tuple",
+    "convolution_check",
     # oracles and exact references
     "Oracle", "TableOracle", "SymmetricSliceOracle", "KnapsackOracle",
-    "make_knapsack", "hamming_weight", "ProblemSpec", "parse_problem",
+    "make_knapsack", "ProblemSpec", "parse_problem",
     "MAX_EXACT_DIM", "multilinear_value", "multilinear_gradient",
     "finite_difference_gradient",
     # estimators
-    "Estimator", "EstimatorSample", "MomentSummary", "esg", "esg_given_noise",
-    "encoded_esg", "encoded_esg_given_noise", "naive_value", "reinforce", "arm",
-    "disarm", "make_estimator", "estimate_mean_and_variance",
+    "Estimator", "EstimatorSample", "MomentSummary", "make_estimator",
+    "estimate_mean_and_variance",
     # descent
-    "Schedule", "DescentConfig", "Trajectory", "sqd", "encoded_sqd",
-    "run_repeated", "derive_rng", "derive_seed",
+    "Schedule", "DescentConfig", "Trajectory", "descend", "run_repeated",
+    "derive_rng", "derive_seed",
     # harness
     "MethodSpec", "ExperimentSpec", "AggregateSeries", "ExperimentResult",
     "load_experiment_spec", "load_descent_config", "run_experiment", "aggregate",

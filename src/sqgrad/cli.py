@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .descent import run_repeated, sqd, encoded_sqd
+from .descent import descend, run_repeated
 from .errors import SqgradError
-from .estimators import estimate_mean_and_variance, make_estimator
+from .estimators import estimate_mean_and_variance
 from .exact import finite_difference_gradient, multilinear_gradient, multilinear_value
 from .harness import load_descent_config, load_experiment_spec, run_experiment, write_outputs
 from .oracles import parse_problem
@@ -118,8 +118,7 @@ def _cmd_descend(args) -> int:
         }
     else:
         oracle = problem.make(np.random.default_rng(config.seed))
-        runner = encoded_sqd if make_estimator(config.estimator).encoded else sqd
-        traj, x_final = runner(config, oracle)
+        traj, x_final = descend(config, oracle)
         out = {
             "final_x": x_final.tolist(),
             "best": float(traj.best[-1]),

@@ -38,8 +38,7 @@ __all__ = [
     "Schedule",
     "DescentConfig",
     "Trajectory",
-    "sqd",
-    "encoded_sqd",
+    "descend",
     "run_repeated",
     "derive_rng",
     "derive_seed",
@@ -210,7 +209,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
             est.draw_noise(rng, d, draws=row)
         noise = est.noise_from(draws)
         batch = est.evaluate(states, noise, oracles[0] if shared else oracles)
-        states = np.clip(states + sign * eta * batch.grads, lo, hi)
+        states = np.minimum(np.maximum(states + sign * eta * batch.grads, lo), hi)
         if not np.isfinite(states).all():
             raise DomainError(
                 f"{est.spec}: non-finite state at step {t}; "
@@ -254,18 +253,12 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     return out
 
 
-def sqd(config: DescentConfig, oracle: Oracle) -> tuple[Trajectory, np.ndarray]:
-    """One descent run in probability space; returns (trajectory, final x)."""
-    if make_estimator(config.estimator).encoded:
-        raise ConfigError("encoded estimators run through encoded_sqd")
-    traj = _run_group([config], [oracle])[0]
-    return traj, traj.final_x
+def descend(config: DescentConfig, oracle: Oracle) -> tuple[Trajectory, np.ndarray]:
+    """One descent run; returns (trajectory, final x).
 
-
-def encoded_sqd(config: DescentConfig, oracle: Oracle) -> tuple[Trajectory, np.ndarray]:
-    """One descent run in the encoding domain; reports decoded states."""
-    if not make_estimator(config.estimator).encoded:
-        raise ConfigError("encoded_sqd needs an encoded_esg estimator")
+    The update runs in the estimator's state space, the encoding domain
+    for ``encoded_esg``; snapshots and the final x are decoded.
+    """
     traj = _run_group([config], [oracle])[0]
     return traj, traj.final_x
 

@@ -4,17 +4,12 @@ Every law here is symmetric about the origin.  Wherever the cdf F is
 continuous it therefore satisfies F(z) + F(-z) = 1, and the inverse cdf
 (when it exists) satisfies F^{-1}(x) = -F^{-1}(1 - x).
 
-Three families can be named in configuration strings, see
-:func:`parse_distribution`:
-
-* ``uniform(c)``   -> :class:`UniformInterval`, uniform on [-c, c]
-* ``twopoint(c)``  -> :class:`TwoPoint`, half mass on -c and half on +c
-* ``bigauss(m,s)`` -> :class:`GaussianMixture`, equal-weight N(m, s^2)
-  and N(-m, s^2)
-
-The remaining families (:class:`Triangular`, :class:`HalfCosine`,
-:class:`RaisedCosine`, :class:`TabulatedSymmetric`) back the encoding
-side of the shipped estimator tuples and are constructed directly.
+The shipped estimator tuples draw their perturbation noise from
+:class:`UniformInterval` (uniform on [-c, c]), :class:`TwoPoint` (half
+mass on -c and half on +c) or :class:`GaussianMixture` (equal-weight
+N(m, s^2) and N(-m, s^2)).  Their encodings are :class:`Triangular`,
+:class:`HalfCosine`, :class:`RaisedCosine`, :class:`UniformInterval`
+and :class:`TabulatedSymmetric`.
 
 All methods accept floats or numpy arrays; scalar input yields a float,
 and ``sample(rng)`` with no size returns a float.  Samplers consume a
@@ -58,13 +53,11 @@ return an empty array, of the input's shape, for an empty input.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ConstructionError,
     DomainError,
     NoDensityError,
@@ -80,8 +73,6 @@ __all__ = [
     "HalfCosine",
     "RaisedCosine",
     "TabulatedSymmetric",
-    "parse_distribution",
-    "check_calibrated_key",
 ]
 
 
@@ -89,7 +80,7 @@ def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-def bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200):
+def _bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200):
     """Invert a nondecreasing function by bisection.
 
     ``fn`` must satisfy fn(lo) <= x <= fn(hi) elementwise.  Returns the
@@ -300,7 +291,7 @@ class GaussianMixture(SymmetricDistribution):
             lo = lo - 8.0 * self.scale
         while np.any(self.cdf(hi) < x):
             hi = hi + 8.0 * self.scale
-        out = bisect_increasing(
+        out = _bisect_increasing(
             self.cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
         )
         return _maybe_scalar(out, x.ndim == 0)
@@ -420,7 +411,7 @@ class RaisedCosine(SymmetricDistribution):
         c = self.half_width
         lo = np.full(x.shape, -c)
         hi = np.full(x.shape, c)
-        out = bisect_increasing(
+        out = _bisect_increasing(
             self.cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
         )
         return _maybe_scalar(out, x.ndim == 0)
@@ -742,53 +733,3 @@ def _exact_rounds(x, lo, hi, left, coef, edge, certain, most, tol):
         right &= np.less(mid, edge, out=inside)
         np.putmask(lo, right, mid)
         np.putmask(hi, np.logical_not(right, out=right), mid)
-
-
-_DIST_PATTERN = re.compile(r"^\s*([a-z_]+)\s*\(\s*([^)]*)\s*\)\s*$")
-
-
-def parse_distribution(text: str) -> SymmetricDistribution:
-    """Build a distribution from a config string.
-
-    Accepted, case-insensitively: ``uniform(c)``, ``twopoint(c)``,
-    ``bigauss(m,s)``.
-    """
-    m = _DIST_PATTERN.match(str(text).lower())
-    if m is None:
-        raise ConfigError(f"cannot parse distribution {text!r}")
-    name, arg_text = m.group(1), m.group(2)
-    try:
-        args = [float(a) for a in arg_text.split(",")] if arg_text.strip() else []
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric arguments in {text!r}") from exc
-    try:
-        if name == "uniform" and len(args) == 1:
-            return UniformInterval(args[0])
-        if name == "twopoint" and len(args) == 1:
-            return TwoPoint(args[0])
-        if name == "bigauss" and len(args) == 2:
-            return GaussianMixture(args[0], args[1])
-    except DomainError as exc:
-        raise ConfigError(f"bad parameters in {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown distribution {text!r}")
-
-
-def check_calibrated_key(
-    dist: SymmetricDistribution,
-    x: float,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical frequency of the thresholded key 1[inv_cdf(x) + eps >= 0].
-
-    For a symmetric law with a genuine inverse cdf the true frequency
-    is exactly x, so the returned value minus x is a Monte Carlo check
-    of the thresholding construction.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError("x must lie strictly inside (0, 1)")
-    if n_samples < 1:
-        raise DomainError("n_samples must be at least 1")
-    e = dist.inv_cdf(x)
-    eps = dist.sample(rng, n_samples)
-    return float(np.mean(e + eps >= 0.0))

@@ -5,24 +5,44 @@ x in (0,1)^d, the value v(x) = E[Q(Y)] under independent Bernoulli(x_i)
 coordinates, and its gradient.  They differ in how many oracle calls a
 sample costs and in what they are unbiased for.
 
-``esg`` spends exactly one oracle call.  With a calibrated tuple
-(f, sigma, sigma_hat) it perturbs the encoded point e = sigma_hat^{-1}(x)
-by per-coordinate noise eps ~ sigma, thresholds z = e + eps at zero to
-get the key k, and weights the single oracle response:
+The single-query estimators share one shape.  Each coordinate j gets a
+key bit k_j, a weight w_j and a gradient weight w'_j from its state and
+its noise, and one oracle call at the key gives
 
-    V   = Q(k) prod_i f(|z_i|),
-    G_i = Q(k) * s_i f'(|z_i|) / sigma_hat'(e_i) * prod_{j != i} f(|z_j|),
+    V   = Q(k) prod_j w_j,
+    G_i = Q(k) w'_i prod_{j != i} w_j.
 
-where s_i is the sign of z_i.  Calibration makes E[V] = v(x) and
-E[G] = grad v(x).  The encoded variant differentiates with respect to e
-instead (drop the 1/sigma_hat' factor), so its mean is
-diag(sigma_hat'(e)) grad v(x).
+They differ only in that per-coordinate map:
 
-``naive`` thresholds the same way but reports Q(k) with a zero
-gradient; ``reinforce`` is the one-call score-function estimator; and
+* ``esg:<tuple>``, the paper's estimator.  With a calibrated tuple
+  (f, sigma, sigma_hat) it perturbs the encoded point
+  e = sigma_hat^{-1}(x) by noise eps ~ sigma and thresholds
+  z = e + eps at zero: k = [z >= 0], w = f(|z|) and
+  w' = s f'(|z|) / sigma_hat'(e), where s is the sign of z.
+  Calibration makes E[V] = v(x) and E[G] = grad v(x).
+* ``encoded_esg:<tuple>``: the same map without the 1/sigma_hat'
+  factor.  It differentiates with respect to e, so its mean is
+  diag(sigma_hat'(e)) grad v(x).
+* ``naive``: the same threshold with eps uniform on [-1/2, 1/2], w = 1
+  and w' = 0.  It reports Q(k) and a zero gradient.
+* ``reinforce``, the one-call score-function estimator (Williams 1992):
+  k = [u < x] for u uniform on [0, 1), w = 1 and
+  w' = k/x - (1 - k)/(1 - x).
+
+``reinforce`` reports NaN as its value.  Its Q(k) would be an unbiased
+value estimate, the naive one with Bernoulli keys, but the baseline is
+kept as published, a gradient estimator, so ``estimate`` reports no
+value for it; ``naive`` is the value baseline.
+
 ``arm`` / ``disarm`` are the antithetic two-call score estimators in
 logit space, mapped back to x by the chain rule.  The score estimators
 carry no value estimate; the sample's value field is NaN.
+
+``make_estimator(spec)`` builds any of them.  ``sample`` draws one
+realisation, ``sample_batch`` n of them at one state, and ``at_noise``
+evaluates one at given noise: at fixed noise the threshold estimators
+are pathwise differentiable in the state, which finite-difference
+checks rely on.
 """
 
 from __future__ import annotations
@@ -48,14 +68,6 @@ __all__ = [
     "SampleBatch",
     "MomentSummary",
     "Estimator",
-    "esg",
-    "esg_given_noise",
-    "encoded_esg",
-    "encoded_esg_given_noise",
-    "naive_value",
-    "reinforce",
-    "arm",
-    "disarm",
     "make_estimator",
     "estimate_mean_and_variance",
 ]
@@ -122,13 +134,29 @@ def _query_rows(keys: np.ndarray, oracles) -> np.ndarray:
     return out.reshape(keys.shape[0], per_row)
 
 
+class _UnitUniform:
+    """Uniform noise on [0, 1), the score estimators' u; it has the
+    sampling half of ``SymmetricDistribution``'s interface."""
+
+    draws = 1
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out[0])
+
+    def from_draws(self, raw: np.ndarray) -> np.ndarray:
+        return raw[0]
+
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return rng.random(size)
+
+
 class Estimator:
     """Shared skeleton: noise drawing, state handling, sampling API.
 
     States are probability vectors for every estimator except the
-    encoded one, whose states live in the encoding domain.  ``encode``
-    and ``decode`` translate between the two; descent loops use them to
-    run the same update rule in either space.
+    encoded one, whose states live in the domain of its ``encoding``.
+    ``encode`` and ``decode`` translate between the two; descent loops
+    use them to run the same update rule in either space.
 
     States are checked where they enter: ``_checked_point`` for the
     sampling entries, ``state_bounds`` for descent, whose clamp keeps
@@ -139,15 +167,26 @@ class Estimator:
     spec: str
     queries_per_sample: int
     provides_value: bool
-    encoded: bool = False
+    #: The encoding sigma_hat when states live in its domain, else None.
+    encoding: SymmetricDistribution | None = None
 
     # ---------- state space ----------
 
+    @property
+    def encoded(self) -> bool:
+        return self.encoding is not None
+
     def encode(self, x):
-        return np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.encoding is None:
+            return x
+        return np.asarray(self.encoding.inv_cdf(x), dtype=float)
 
     def decode(self, state):
-        return np.asarray(state, dtype=float)
+        state = np.asarray(state, dtype=float)
+        if self.encoding is None:
+            return state
+        return np.asarray(self.encoding.cdf(state), dtype=float)
 
     def state_bounds(self, delta: float) -> tuple[float, float]:
         """Clamp bounds of the state; both lie inside the state domain."""
@@ -155,16 +194,31 @@ class Estimator:
             raise DomainError(
                 "clamp width must lie in (0, 1/2), with 1 - width below 1"
             )
-        return (delta, 1.0 - delta)
+        if self.encoding is None:
+            return (delta, 1.0 - delta)
+        bounds = (
+            float(self.encoding.inv_cdf(delta)),
+            float(self.encoding.inv_cdf(1.0 - delta)),
+        )
+        self._check_domain(np.array(bounds))
+        return bounds
 
     def _check_domain(self, states: np.ndarray) -> None:
-        if not np.all((states > 0.0) & (states < 1.0)):
-            raise DomainError("probabilities must lie strictly inside (0, 1)")
+        if self.encoding is None:
+            if not np.all((states > 0.0) & (states < 1.0)):
+                raise DomainError("probabilities must lie strictly inside (0, 1)")
+            return
+        lo, hi = self.encoding.support
+        if not np.all((states > lo) & (states < hi)):
+            raise EncodingError(
+                "encoded states must lie in the interior of the encoding support"
+            )
 
     # ---------- noise ----------
 
-    #: Law of the perturbation noise eps (the threshold estimators).
-    noise_law: SymmetricDistribution
+    #: Law of the noise: eps for the threshold estimators, u for the
+    #: score estimators.
+    noise_law: SymmetricDistribution | _UnitUniform
 
     @property
     def noise_draws(self) -> int:
@@ -213,9 +267,12 @@ class Estimator:
         self._check_domain(x)
         return x
 
-    def sample(self, x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
+    def at_noise(self, x, oracle: Oracle, noise) -> EstimatorSample:
+        """The realisation at state ``x`` and the given noise, shape (d,)."""
         x = self._checked_point(x, oracle)
-        noise = self.draw_noise(rng, x.shape[0])
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != x.shape:
+            raise DimensionMismatchError("noise must have the same shape as the state")
         batch = self.evaluate(x[None, :], noise[None, :], [oracle])
         return EstimatorSample(
             key=batch.keys[0],
@@ -224,6 +281,10 @@ class Estimator:
             queries=batch.queries,
             raw=batch.raw[0],
         )
+
+    def sample(self, x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
+        """One realisation at state ``x``: ``at_noise`` at drawn noise."""
+        return self.at_noise(x, oracle, self.draw_noise(rng, oracle.d))
 
     def sample_batch(
         self, x, oracle: Oracle, rng: np.random.Generator, n: int
@@ -237,167 +298,105 @@ class Estimator:
         return self.evaluate(states, noise, oracle)
 
 
-class _EsgEstimator(Estimator):
-    provides_value = True
+class _ProductEstimator(Estimator):
+    """A single-query estimator in product form; see the module docstring.
+
+    ``coordinates(est, states, noise)`` is the method's per-coordinate
+    map.  It returns the (m, d) keys, the weights w, and the gradient
+    weights w' as a numerator and a denominator, each (m, d) or
+    broadcastable to it.  The denominator divides after the
+    leave-one-out product, G_i = Q(k) (numerator_i prod_{j != i} w_j) /
+    denominator_i: that is esg's order of operations, and the recorded
+    outputs hold its bits.  ``None`` stands for w = 1, which skips the
+    products (a product of ones is exactly 1), and for a denominator
+    of 1.
+    """
+
     queries_per_sample = 1
 
-    def __init__(self, tup: GoodTuple):
+    def __init__(
+        self,
+        spec: str,
+        coordinates,
+        noise_law,
+        *,
+        tup: GoodTuple | None = None,
+        encoding: SymmetricDistribution | None = None,
+        provides_value: bool = True,
+    ):
+        self.spec = spec
+        self.coordinates = coordinates
+        self.noise_law = noise_law
         self.tup = tup
-        self.noise_law = tup.sigma
-        self.spec = f"esg:{tup.name}"
-
-    def _encoded_states(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if states.base is not None and states.strides[0] == 0:
-            # Broadcast rows share one x: invert once, not once per row.
-            e_row = np.atleast_1d(self.tup.sigma_hat.inv_cdf(states[0]))
-            dens_row = np.atleast_1d(self.tup.sigma_hat.density(e_row))
-            shape = states.shape
-            return np.broadcast_to(e_row, shape), np.broadcast_to(dens_row, shape)
-        e = np.atleast_2d(self.tup.sigma_hat.inv_cdf(states))
-        return e, np.atleast_2d(self.tup.sigma_hat.density(e))
+        self.encoding = encoding
+        self.provides_value = provides_value
 
     def evaluate(self, states, noise, oracles):
-        e, dens = self._encoded_states(states)
+        if states.strides[0] == 0:
+            # Broadcast rows (sample_batch) share one state: map it once
+            # and let the arithmetic broadcast it over the noise rows.
+            states = states[:1]
+        keys, w, numer, denom = self.coordinates(self, states, noise)
+        raw = _query_rows(keys, oracles)
+        q = raw[:, 0]
+        if w is None:
+            values, gweight = q, numer
+        else:
+            loo = _leave_one_out(w)
+            values, gweight = q * w[:, 0] * loo[:, 0], numer * loo
+        if denom is not None:
+            gweight = gweight / denom
+        if not self.provides_value:
+            values = np.full(keys.shape[0], math.nan)
+        return SampleBatch(
+            keys=keys,
+            values=values,
+            grads=q[:, None] * gweight,
+            raw=raw,
+            queries=keys.shape[0],
+        )
+
+
+def _esg_coordinates(est: _ProductEstimator, state, eps):
+    tup = est.tup
+    if est.encoded:
+        e, dens = state, None
+    else:
+        e = np.asarray(tup.sigma_hat.inv_cdf(state))
+        dens = np.asarray(tup.sigma_hat.density(e))
         # The gradient weight divides by the density; a tabulated or
         # flat encoding can make it vanish even at a valid state.
         if np.any(dens <= 0.0):
             raise TupleError(
-                f"{self.tup.name}: encoding density vanishes at the requested point"
+                f"{tup.name}: encoding density vanishes at the requested point"
             )
-        return _esg_from_encoded(self.tup, e, noise, oracles, dens=dens)
-
-
-class _EncodedEsgEstimator(Estimator):
-    provides_value = True
-    queries_per_sample = 1
-    encoded = True
-
-    def __init__(self, tup: GoodTuple):
-        self.tup = tup
-        self.noise_law = tup.sigma
-        self.spec = f"encoded_esg:{tup.name}"
-
-    def encode(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.tup.sigma_hat.inv_cdf(x), dtype=float)
-
-    def decode(self, state):
-        state = np.asarray(state, dtype=float)
-        return np.asarray(self.tup.sigma_hat.cdf(state), dtype=float)
-
-    def state_bounds(self, delta):
-        lo, hi = super().state_bounds(delta)
-        bounds = (
-            float(self.tup.sigma_hat.inv_cdf(lo)),
-            float(self.tup.sigma_hat.inv_cdf(hi)),
-        )
-        self._check_domain(np.array(bounds))
-        return bounds
-
-    def _check_domain(self, states: np.ndarray) -> None:
-        lo, hi = self.tup.sigma_hat.support
-        if not np.all((states > lo) & (states < hi)):
-            raise EncodingError(
-                "encoded states must lie in the interior of the encoding support"
-            )
-
-    def evaluate(self, states, noise, oracles):
-        return _esg_from_encoded(self.tup, states, noise, oracles, dens=None)
-
-
-def _esg_from_encoded(
-    tup: GoodTuple, e: np.ndarray, eps: np.ndarray, oracles, dens
-) -> SampleBatch:
     z = e + eps
-    keys = z >= 0.0
     az = np.abs(z)
-    fv = np.asarray(tup.f(az))
-    fp = np.asarray(tup.f_prime(az))
-    loo = _leave_one_out(fv)
-    raw = _query_rows(keys, oracles)
-    q = raw[:, 0]
-    values = q * fv[:, 0] * loo[:, 0]
-    gweight = np.sign(z) * fp * loo
-    if dens is not None:
-        gweight = gweight / dens
-    grads = q[:, None] * gweight
-    return SampleBatch(
-        keys=keys, values=values, grads=grads, raw=raw, queries=keys.shape[0]
-    )
+    w = np.asarray(tup.f(az))
+    return z >= 0.0, w, np.sign(z) * np.asarray(tup.f_prime(az)), dens
 
 
-class _NaiveEstimator(Estimator):
-    provides_value = True
-    queries_per_sample = 1
-
-    def __init__(self, dist: SymmetricDistribution):
-        # The key thresholds inv_cdf(x) + eps with eps from the same law.
-        self.noise_law = dist
-        self.spec = "naive"
-
-    def evaluate(self, states, noise, oracles):
-        if states.base is not None and states.strides[0] == 0:
-            e = np.broadcast_to(
-                np.atleast_1d(self.noise_law.inv_cdf(states[0])), states.shape
-            )
-        else:
-            e = np.atleast_2d(self.noise_law.inv_cdf(states))
-        keys = e + noise >= 0.0
-        raw = _query_rows(keys, oracles)
-        return SampleBatch(
-            keys=keys,
-            values=raw[:, 0],
-            grads=np.zeros(keys.shape),
-            raw=raw,
-            queries=keys.shape[0],
-        )
+def _naive_coordinates(est: _ProductEstimator, x, eps):
+    # The key thresholds inv_cdf(x) + eps with eps from the same law.
+    keys = np.asarray(est.noise_law.inv_cdf(x)) + eps >= 0.0
+    return keys, None, np.zeros(keys.shape), None
 
 
-class _ScoreEstimator(Estimator):
-    """Common ground for the uniform-noise score-function estimators."""
+def _reinforce_coordinates(est: _ProductEstimator, x, u):
+    keys = u < x
+    return keys, None, keys / x - (1.0 - keys) / (1.0 - x), None
+
+
+class _PairedScoreEstimator(Estimator):
+    """Antithetic pair construction shared by arm and disarm."""
 
     provides_value = False
-    noise_draws = 1
-
-    def draw_noise(self, rng, d, *, draws=None):
-        if draws is None:
-            return rng.random(d)
-        rng.random(out=draws[0])
-        return None
-
-    def noise_from(self, draws):
-        return draws[0]
-
-    def draw_noise_batch(self, rng, n, d):
-        return rng.random((n, d))
+    queries_per_sample = 2
+    noise_law = _UnitUniform()
 
     @staticmethod
     def _nan_values(n: int) -> np.ndarray:
         return np.full(n, math.nan)
-
-
-class _ReinforceEstimator(_ScoreEstimator):
-    queries_per_sample = 1
-    spec = "reinforce"
-
-    def evaluate(self, x, noise, oracles):
-        keys = noise < x
-        raw = _query_rows(keys, oracles)
-        q = raw[:, 0]
-        score = keys / x - (1.0 - keys) / (1.0 - x)
-        return SampleBatch(
-            keys=keys,
-            values=self._nan_values(keys.shape[0]),
-            grads=q[:, None] * score,
-            raw=raw,
-            queries=keys.shape[0],
-        )
-
-
-class _PairedScoreEstimator(_ScoreEstimator):
-    """Antithetic pair construction shared by arm and disarm."""
-
-    queries_per_sample = 2
 
     @staticmethod
     def _pair(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -447,83 +446,7 @@ class _DisarmEstimator(_PairedScoreEstimator):
         )
 
 
-# ---------- functional surface ----------
-
-
-def _resolve_tuple(tup: GoodTuple | str) -> GoodTuple:
-    return get_tuple(tup) if isinstance(tup, str) else tup
-
-
-def esg(
-    x, tup: GoodTuple | str, oracle: Oracle, rng: np.random.Generator
-) -> EstimatorSample:
-    """One single-query estimate of (v(x), grad v(x))."""
-    return _EsgEstimator(_resolve_tuple(tup)).sample(x, oracle, rng)
-
-
-def esg_given_noise(x, tup: GoodTuple | str, oracle: Oracle, eps) -> EstimatorSample:
-    """The estimator at a fixed noise realisation (it is pathwise
-    differentiable in x, which finite-difference checks rely on)."""
-    est = _EsgEstimator(_resolve_tuple(tup))
-    x = est._checked_point(x, oracle)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != x.shape:
-        raise DimensionMismatchError("noise must have the same shape as x")
-    batch = est.evaluate(x[None, :], eps[None, :], [oracle])
-    return EstimatorSample(
-        key=batch.keys[0],
-        value=float(batch.values[0]),
-        gradient=batch.grads[0],
-        queries=batch.queries,
-        raw=batch.raw[0],
-    )
-
-
-def encoded_esg(
-    e, tup: GoodTuple | str, oracle: Oracle, rng: np.random.Generator
-) -> EstimatorSample:
-    """Single-query estimate of the encoded-space gradient at e."""
-    return _EncodedEsgEstimator(_resolve_tuple(tup)).sample(e, oracle, rng)
-
-
-def encoded_esg_given_noise(
-    e, tup: GoodTuple | str, oracle: Oracle, eps
-) -> EstimatorSample:
-    est = _EncodedEsgEstimator(_resolve_tuple(tup))
-    e = est._checked_point(e, oracle)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != e.shape:
-        raise DimensionMismatchError("noise must have the same shape as e")
-    batch = est.evaluate(e[None, :], eps[None, :], [oracle])
-    return EstimatorSample(
-        key=batch.keys[0],
-        value=float(batch.values[0]),
-        gradient=batch.grads[0],
-        queries=batch.queries,
-        raw=batch.raw[0],
-    )
-
-
-def naive_value(
-    x, dist: SymmetricDistribution, oracle: Oracle, rng: np.random.Generator
-) -> EstimatorSample:
-    """Threshold a calibrated key and report Q(key); gradient is zero."""
-    return _NaiveEstimator(dist).sample(x, oracle, rng)
-
-
-def reinforce(x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
-    """One-call score-function gradient estimate (no value estimate)."""
-    return _ReinforceEstimator().sample(x, oracle, rng)
-
-
-def arm(x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
-    """Antithetic two-call logit-space score estimate, mapped to x."""
-    return _ArmEstimator().sample(x, oracle, rng)
-
-
-def disarm(x, oracle: Oracle, rng: np.random.Generator) -> EstimatorSample:
-    """Rao-Blackwellised variant of arm; also two calls per sample."""
-    return _DisarmEstimator().sample(x, oracle, rng)
+# ---------- construction ----------
 
 
 def make_estimator(spec: str) -> Estimator:
@@ -535,14 +458,21 @@ def make_estimator(spec: str) -> Estimator:
     """
     text = str(spec).strip().lower()
     head, _, tail = text.partition(":")
-    if head == "esg" and tail:
-        return _EsgEstimator(get_tuple(tail))
-    if head == "encoded_esg" and tail:
-        return _EncodedEsgEstimator(get_tuple(tail))
+    if head in ("esg", "encoded_esg") and tail:
+        tup = get_tuple(tail)
+        return _ProductEstimator(
+            f"{head}:{tup.name}",
+            _esg_coordinates,
+            tup.sigma,
+            tup=tup,
+            encoding=tup.sigma_hat if head == "encoded_esg" else None,
+        )
     if text == "naive":
-        return _NaiveEstimator(UniformInterval(0.5))
+        return _ProductEstimator("naive", _naive_coordinates, UniformInterval(0.5))
     if text == "reinforce":
-        return _ReinforceEstimator()
+        return _ProductEstimator(
+            "reinforce", _reinforce_coordinates, _UnitUniform(), provides_value=False
+        )
     if text == "arm":
         return _ArmEstimator()
     if text == "disarm":

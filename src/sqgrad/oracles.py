@@ -32,16 +32,9 @@ __all__ = [
     "SymmetricSliceOracle",
     "KnapsackOracle",
     "make_knapsack",
-    "hamming_weight",
     "ProblemSpec",
     "parse_problem",
 ]
-
-
-def hamming_weight(y) -> int:
-    """Number of ones in a binary vector."""
-    y = np.asarray(y)
-    return int(np.sum(y != 0))
 
 
 class Oracle:

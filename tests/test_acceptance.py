@@ -14,13 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqgrad.descent import DescentConfig, Schedule, encoded_sqd, sqd
-from sqgrad.estimators import (
-    encoded_esg_given_noise,
-    esg_given_noise,
-    estimate_mean_and_variance,
-    make_estimator,
-)
+from sqgrad.descent import DescentConfig, Schedule, descend
+from sqgrad.estimators import estimate_mean_and_variance, make_estimator
 from sqgrad.exact import multilinear_gradient, multilinear_value
 from sqgrad.harness import load_experiment_spec, run_experiment, write_outputs
 from sqgrad.oracles import TableOracle
@@ -132,6 +127,7 @@ def test_c06_pathwise_gradient_matches_finite_differences():
     for name in TUPLE_NAMES:
         tup = get_tuple(name)
         est = make_estimator(f"esg:{name}")
+        enc = make_estimator(f"encoded_esg:{name}")
         kinks = np.asarray(tup.kinks, dtype=float)
         accepted = 0
         while accepted < 200:
@@ -145,26 +141,26 @@ def test_c06_pathwise_gradient_matches_finite_differences():
                 continue
             accepted += 1
 
-            g = esg_given_noise(x, tup, oracle, eps).gradient
+            g = est.at_noise(x, oracle, eps).gradient
             for i in range(d):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
                 fd = (
-                    esg_given_noise(xp, tup, oracle, eps).value
-                    - esg_given_noise(xm, tup, oracle, eps).value
+                    est.at_noise(xp, oracle, eps).value
+                    - est.at_noise(xm, oracle, eps).value
                 ) / (2.0 * h)
                 rel = abs(g[i] - fd) / max(abs(g[i]), 1e-6)
                 assert rel <= 1e-4, f"{name}: rel err {rel:.2e} at x={x}"
 
-            ge = encoded_esg_given_noise(e, tup, oracle, eps).gradient
+            ge = enc.at_noise(e, oracle, eps).gradient
             for i in range(d):
                 ep, em = e.copy(), e.copy()
                 ep[i] += h
                 em[i] -= h
                 fd = (
-                    encoded_esg_given_noise(ep, tup, oracle, eps).value
-                    - encoded_esg_given_noise(em, tup, oracle, eps).value
+                    enc.at_noise(ep, oracle, eps).value
+                    - enc.at_noise(em, oracle, eps).value
                 ) / (2.0 * h)
                 rel = abs(ge[i] - fd) / max(abs(ge[i]), 1e-6)
                 assert rel <= 1e-4, f"encoded {name}: rel err {rel:.2e}"
@@ -223,11 +219,11 @@ def test_c09_encoded_and_plain_descent_coincide():
         seed=31,
         snapshot_every=1,
     )
-    plain, _ = sqd(
+    plain, _ = descend(
         DescentConfig(estimator="esg:longjump", **common),
         TableOracle([-0.3, 1.1]),
     )
-    encoded, _ = encoded_sqd(
+    encoded, _ = descend(
         DescentConfig(estimator="encoded_esg:longjump", **common),
         TableOracle([-0.3, 1.1]),
     )

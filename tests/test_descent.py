@@ -11,9 +11,8 @@ from sqgrad.descent import (
     _run_group,
     derive_rng,
     derive_seed,
-    encoded_sqd,
+    descend,
     run_repeated,
-    sqd,
 )
 from sqgrad.errors import ConfigError, DomainError, ScheduleError
 from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
@@ -61,11 +60,6 @@ def test_config_validation():
 
 
 def test_dispatch_guards():
-    oracle = SymmetricSliceOracle(4)
-    with pytest.raises(ConfigError):
-        sqd(_config(estimator="encoded_esg:arch"), oracle)
-    with pytest.raises(ConfigError):
-        encoded_sqd(_config(estimator="esg:arch"), oracle)
     with pytest.raises(ConfigError):
         run_repeated(_config(), parse_problem("slice:4"), 0, 1)
 
@@ -73,9 +67,9 @@ def test_dispatch_guards():
 def test_x0_validation():
     oracle = SymmetricSliceOracle(4)
     with pytest.raises(DomainError):
-        sqd(_config(x0=1.0), oracle)
+        descend(_config(x0=1.0), oracle)
     with pytest.raises(DomainError):
-        sqd(_config(x0=(0.5, 0.5, 0.0, 0.5)), oracle)
+        descend(_config(x0=(0.5, 0.5, 0.0, 0.5)), oracle)
 
 
 def test_seed_derivation_is_deterministic_and_keyed():
@@ -90,8 +84,8 @@ def test_seed_derivation_is_deterministic_and_keyed():
 
 def test_sqd_is_deterministic():
     oracle = SymmetricSliceOracle(6)
-    t1, x1 = sqd(_config(), oracle)
-    t2, x2 = sqd(_config(), oracle)
+    t1, x1 = descend(_config(), oracle)
+    t2, x2 = descend(_config(), oracle)
     np.testing.assert_array_equal(t1.raw, t2.raw)
     np.testing.assert_array_equal(t1.best, t2.best)
     np.testing.assert_array_equal(t1.snapshots, t2.snapshots)
@@ -100,7 +94,7 @@ def test_sqd_is_deterministic():
 
 def test_trajectory_alignment_single_query():
     oracle = SymmetricSliceOracle(6)
-    traj, final_x = sqd(_config(steps=40), oracle)
+    traj, final_x = descend(_config(steps=40), oracle)
     assert traj.estimator == "esg:arch"
     assert traj.direction == "maximize"
     np.testing.assert_array_equal(traj.calls, np.arange(1, 41))
@@ -112,7 +106,7 @@ def test_trajectory_alignment_single_query():
 
 def test_trajectory_alignment_two_query():
     oracle = SymmetricSliceOracle(6)
-    traj, _ = sqd(_config(estimator="arm", steps=40, direction="minimize"), oracle)
+    traj, _ = descend(_config(estimator="arm", steps=40, direction="minimize"), oracle)
     np.testing.assert_array_equal(traj.calls, np.arange(1, 81))
     assert traj.raw.shape == (80,)
     np.testing.assert_array_equal(traj.best, np.minimum.accumulate(traj.raw))
@@ -120,7 +114,7 @@ def test_trajectory_alignment_two_query():
 
 def test_snapshot_cadence_default_stride():
     oracle = SymmetricSliceOracle(4)
-    traj, _ = sqd(_config(steps=2500), oracle)
+    traj, _ = descend(_config(steps=2500), oracle)
     # stride = max(1, 2500 // 1000) = 2
     np.testing.assert_array_equal(traj.snapshot_steps, np.arange(0, 2501, 2))
     assert traj.snapshots.shape == (1251, 4)
@@ -128,9 +122,9 @@ def test_snapshot_cadence_default_stride():
 
 def test_snapshot_cadence_explicit():
     oracle = SymmetricSliceOracle(4)
-    traj, _ = sqd(_config(steps=2500, snapshot_every=500), oracle)
+    traj, _ = descend(_config(steps=2500, snapshot_every=500), oracle)
     np.testing.assert_array_equal(traj.snapshot_steps, np.arange(0, 2501, 500))
-    traj, _ = sqd(_config(steps=5, snapshot_every=2), oracle)
+    traj, _ = descend(_config(steps=5, snapshot_every=2), oracle)
     np.testing.assert_array_equal(traj.snapshot_steps, [0, 2, 4])
     np.testing.assert_array_equal(traj.snapshots[0], np.full(4, 0.5))
 
@@ -138,7 +132,7 @@ def test_snapshot_cadence_explicit():
 def test_clamp_keeps_states_inside_box():
     oracle = SymmetricSliceOracle(4)
     cfg = _config(steps=120, schedule=Schedule("constant", 50.0), clamp=0.01)
-    traj, final_x = sqd(cfg, oracle)
+    traj, final_x = descend(cfg, oracle)
     assert np.all(traj.snapshots >= 0.01 - 1e-12)
     assert np.all(traj.snapshots <= 0.99 + 1e-12)
     assert np.all(final_x >= 0.01 - 1e-12) and np.all(final_x <= 0.99 + 1e-12)
@@ -151,7 +145,7 @@ def test_run_repeated_matches_solo_runs():
     group = run_repeated(cfg, problem, 3, base_seed=11)
     for i, traj in enumerate(group):
         solo_cfg = replace(cfg, seed=derive_seed(11, i))
-        solo, solo_x = sqd(solo_cfg, problem.make(derive_rng(11, 0, 1)))
+        solo, solo_x = descend(solo_cfg, problem.make(derive_rng(11, 0, 1)))
         assert traj.seed == solo_cfg.seed
         np.testing.assert_array_equal(traj.raw, solo.raw)
         np.testing.assert_array_equal(traj.best, solo.best)
@@ -166,7 +160,7 @@ def test_run_repeated_matches_solo_runs_encoded():
     group = run_repeated(cfg, problem, 2, base_seed=4)
     for i, traj in enumerate(group):
         solo_cfg = replace(cfg, seed=derive_seed(4, i))
-        solo, _ = encoded_sqd(solo_cfg, problem.make(derive_rng(4, 0, 1)))
+        solo, _ = descend(solo_cfg, problem.make(derive_rng(4, 0, 1)))
         np.testing.assert_array_equal(traj.raw, solo.raw)
         np.testing.assert_array_equal(traj.snapshots, solo.snapshots)
 
@@ -179,7 +173,7 @@ def test_run_repeated_matches_solo_runs_randomized_problem():
     group = run_repeated(cfg, problem, 3, base_seed=11)
     for i, traj in enumerate(group):
         solo_cfg = replace(cfg, seed=derive_seed(11, i))
-        solo, _ = sqd(solo_cfg, problem.make(derive_rng(11, i, 1)))
+        solo, _ = descend(solo_cfg, problem.make(derive_rng(11, i, 1)))
         np.testing.assert_array_equal(traj.raw, solo.raw)
         np.testing.assert_array_equal(traj.final_x, solo.final_x)
 
@@ -205,7 +199,7 @@ def test_run_repeated_is_reproducible():
 
 def test_x0_tuple_sets_coordinates():
     oracle = SymmetricSliceOracle(3)
-    traj, _ = sqd(_config(x0=(0.2, 0.5, 0.8), steps=1), oracle)
+    traj, _ = descend(_config(x0=(0.2, 0.5, 0.8), steps=1), oracle)
     np.testing.assert_allclose(traj.snapshots[0], [0.2, 0.5, 0.8], atol=1e-12)
 
 
@@ -217,13 +211,12 @@ class _NanOracle(Oracle):
 
 
 @pytest.mark.parametrize(
-    "estimator", ["esg:arch", "encoded_esg:spike", "reinforce", "arm", "disarm"]
+    "estimator", ["esg:arch", "encoded_esg:spike", "naive", "reinforce", "arm", "disarm"]
 )
 def test_non_finite_state_stops_the_run(estimator):
-    run = encoded_sqd if estimator.startswith("encoded") else sqd
     match = rf"{estimator}: non-finite state at step \d+"
     with pytest.raises(DomainError, match=match):
-        run(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
+        descend(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
 
 
 class _UncountedOracle(Oracle):
@@ -259,11 +252,10 @@ def test_call_count_check_passes_shared_and_per_trial_oracles(estimator, problem
 def test_overflowing_step_is_pinned_at_the_clamp(estimator):
     # Finite values near the float maximum overflow the gradient step;
     # numpy warns, the clamp pins the state and the run ends finite.
-    run = encoded_sqd if estimator.startswith("encoded") else sqd
     oracle = TableOracle(np.where(np.arange(8) % 2, 1e308, -1e308))
     cfg = _config(estimator=estimator, steps=50)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        traj, _ = run(cfg, oracle)
+        traj, _ = descend(cfg, oracle)
     assert np.all(np.isfinite(traj.raw)) and np.all(np.isfinite(traj.snapshots))
     pinned = np.minimum(np.abs(traj.final_x - cfg.clamp),
                         np.abs(traj.final_x - (1.0 - cfg.clamp)))
@@ -275,7 +267,7 @@ def test_tiny_clamp_is_rejected_before_the_run():
     # the clamp bounds are checked once, before the first step.
     cfg = _config(estimator="reinforce", clamp=1e-17, steps=1)
     with pytest.raises(DomainError):
-        sqd(cfg, SymmetricSliceOracle(3))
+        descend(cfg, SymmetricSliceOracle(3))
 
 
 _KINDS = [

@@ -14,13 +14,10 @@ from sqgrad.distributions import (
     Triangular,
     TwoPoint,
     UniformInterval,
+    _bisect_increasing,
     _pchip_coefficients,
-    bisect_increasing,
-    check_calibrated_key,
-    parse_distribution,
 )
 from sqgrad.errors import (
-    ConfigError,
     ConstructionError,
     DomainError,
     NoDensityError,
@@ -257,7 +254,7 @@ def _table_bisection(tab, x):
     j = np.clip(np.searchsorted(tab._values, flat, side="left"), 1, None)
     lo = grid[j - 1]
     hi = grid[np.minimum(j, grid.size - 1)]
-    out = bisect_increasing(
+    out = _bisect_increasing(
         tab.cdf, flat, lo, hi, tol=tab.INV_TOL, max_iter=tab.INV_MAX_ITER
     ).reshape(x.shape)
     return float(out) if x.ndim == 0 else out
@@ -509,26 +506,6 @@ def test_mixture_density_of_floats_matches_the_formula():
         got, want = dist.density(z), _mixture_density_as_written_before(dist, z)
         assert type(got) is float
         assert got == want, z
-
-
-def test_parse_distribution():
-    assert parse_distribution("uniform(0.5)") == UniformInterval(0.5)
-    assert parse_distribution("TWOPOINT(1)") == TwoPoint(1.0)
-    gm = parse_distribution("bigauss(3.14159, 1.0)")
-    assert isinstance(gm, GaussianMixture)
-    for bad in ("uniform", "uniform()", "uniform(a)", "nope(1)", "uniform(0)"):
-        with pytest.raises(ConfigError):
-            parse_distribution(bad)
-
-
-def test_check_calibrated_key_matches_x():
-    rng = np.random.default_rng(17)
-    for dist in (UniformInterval(0.5), Triangular(0.5), GaussianMixture(math.pi, 1.0)):
-        for x in (0.2, 0.5, 0.9):
-            freq = check_calibrated_key(dist, x, 100_000, rng)
-            assert abs(freq - x) < 4.5 * math.sqrt(x * (1 - x) / 100_000) + 1e-6
-    with pytest.raises(DomainError):
-        check_calibrated_key(UniformInterval(0.5), 1.0, 10, rng)
 
 
 @settings(max_examples=60, deadline=None)

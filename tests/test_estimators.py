@@ -11,21 +11,10 @@ from sqgrad.errors import (
     EncodingError,
     TupleError,
 )
-from sqgrad.estimators import (
-    arm,
-    disarm,
-    encoded_esg,
-    encoded_esg_given_noise,
-    esg,
-    esg_given_noise,
-    estimate_mean_and_variance,
-    make_estimator,
-    naive_value,
-    reinforce,
-)
+from sqgrad.estimators import _leave_one_out, estimate_mean_and_variance, make_estimator
 from sqgrad.exact import multilinear_gradient, multilinear_value
 from sqgrad.oracles import TableOracle
-from sqgrad.tuples import GoodTuple, get_tuple
+from sqgrad.tuples import GoodTuple, get_tuple, register_tuple
 
 ALL_SPECS = [
     "esg:spike",
@@ -51,12 +40,13 @@ def test_longjump_hand_example():
     # sign * f' / encoding slope = 2.  Noise -1 gives z = -1.2, key 0,
     # weight f(1.2) = 1.4, gradient weight -2.
     oracle = TableOracle([2.0, 5.0])
-    up = esg_given_noise(np.array([0.3]), "longjump", oracle, np.array([1.0]))
+    est = make_estimator("esg:longjump")
+    up = est.at_noise(np.array([0.3]), oracle, np.array([1.0]))
     assert up.key[0] == 1.0
     assert up.value == pytest.approx(5.0 * 0.6, abs=1e-12)
     assert up.gradient[0] == pytest.approx(5.0 * 2.0, abs=1e-12)
 
-    down = esg_given_noise(np.array([0.3]), "longjump", oracle, np.array([-1.0]))
+    down = est.at_noise(np.array([0.3]), oracle, np.array([-1.0]))
     assert down.key[0] == 0.0
     assert down.value == pytest.approx(2.0 * 1.4, abs=1e-12)
     assert down.gradient[0] == pytest.approx(-2.0 * 2.0, abs=1e-12)
@@ -72,7 +62,7 @@ def test_spike_hand_example():
     # there is 2.  Noise 0.3 gives z = 0.3: f = 1.2, f' = 4, so the
     # value weight is 1.2 and the gradient weight is 4 / 2 = 2.
     oracle = TableOracle([1.0, 3.0])
-    s = esg_given_noise(np.array([0.5]), "spike", oracle, np.array([0.3]))
+    s = make_estimator("esg:spike").at_noise(np.array([0.5]), oracle, np.array([0.3]))
     assert s.key[0] == 1.0
     assert s.value == pytest.approx(3.0 * 1.2, abs=1e-12)
     assert s.gradient[0] == pytest.approx(3.0 * 2.0, abs=1e-12)
@@ -81,7 +71,8 @@ def test_spike_hand_example():
 def test_encoded_longjump_drops_density_factor():
     oracle = TableOracle([2.0, 5.0])
     # Same point expressed in the encoding domain: e = -0.2.
-    s = encoded_esg_given_noise(np.array([-0.2]), "longjump", oracle, np.array([1.0]))
+    est = make_estimator("encoded_esg:longjump")
+    s = est.at_noise(np.array([-0.2]), oracle, np.array([1.0]))
     assert s.value == pytest.approx(3.0, abs=1e-12)
     # Encoding slope is 1, so the gradients coincide with the plain form.
     assert s.gradient[0] == pytest.approx(10.0, abs=1e-12)
@@ -202,15 +193,15 @@ def test_query_accounting_exact():
 
 def test_single_sample_query_accounting():
     oracle = TableOracle(np.arange(4.0))
-    s = esg(np.array([0.5, 0.5]), "arch", oracle, np.random.default_rng(0))
+    x = np.array([0.5, 0.5])
+    s = make_estimator("esg:arch").sample(x, oracle, np.random.default_rng(0))
     assert s.queries == 1 and oracle.call_count == 1
-    s = arm(np.array([0.5, 0.5]), oracle, np.random.default_rng(0))
+    s = make_estimator("arm").sample(x, oracle, np.random.default_rng(0))
     assert s.queries == 2 and oracle.call_count == 3
     assert s.key.shape == (2, 2)
-    s = disarm(np.array([0.5, 0.5]), oracle, np.random.default_rng(0))
+    s = make_estimator("disarm").sample(x, oracle, np.random.default_rng(0))
     assert s.queries == 2 and oracle.call_count == 5
-    s = naive_value(np.array([0.5, 0.5]), UniformInterval(0.5), oracle,
-                    np.random.default_rng(0))
+    s = make_estimator("naive").sample(x, oracle, np.random.default_rng(0))
     assert s.queries == 1 and oracle.call_count == 6
     assert np.all(s.gradient == 0.0)
 
@@ -248,13 +239,13 @@ def test_state_validation():
     oracle = TableOracle([0.0, 1.0])
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
-        esg(np.array([1.0]), "arch", oracle, rng)
+        make_estimator("esg:arch").sample(np.array([1.0]), oracle, rng)
     with pytest.raises(DomainError):
-        reinforce(np.array([0.0]), oracle, rng)
+        make_estimator("reinforce").sample(np.array([0.0]), oracle, rng)
     with pytest.raises(DimensionMismatchError):
-        esg(np.array([0.5, 0.5]), "arch", oracle, rng)
-    with pytest.raises(EncodingError):
-        encoded_esg(np.array([2.0]), "arch", oracle, rng)  # outside [-1/2, 1/2]
+        make_estimator("esg:arch").sample(np.array([0.5, 0.5]), oracle, rng)
+    with pytest.raises(EncodingError):  # arch encodes onto (-1/2, 1/2)
+        make_estimator("encoded_esg:arch").sample(np.array([2.0]), oracle, rng)
 
 
 def test_states_are_checked_at_every_public_entry():
@@ -263,7 +254,7 @@ def test_states_are_checked_at_every_public_entry():
     for bad in (0.0, 1.0, math.nan):
         x = np.array([bad])
         with pytest.raises(DomainError):
-            esg_given_noise(x, "arch", oracle, np.array([0.1]))
+            make_estimator("esg:arch").at_noise(x, oracle, np.array([0.1]))
         with pytest.raises(DomainError):
             make_estimator("disarm").sample_batch(x, oracle, rng, 4)
         with pytest.raises(DomainError):
@@ -271,7 +262,7 @@ def test_states_are_checked_at_every_public_entry():
     for bad in (0.5, -0.5, math.nan, math.inf):  # arch encodes onto (-1/2, 1/2)
         e = np.array([bad])
         with pytest.raises(EncodingError):
-            encoded_esg_given_noise(e, "arch", oracle, np.array([0.1]))
+            make_estimator("encoded_esg:arch").at_noise(e, oracle, np.array([0.1]))
         with pytest.raises(EncodingError):
             make_estimator("encoded_esg:arch").sample_batch(e, oracle, rng, 4)
 
@@ -300,9 +291,10 @@ def test_esg_rejects_flat_encoding_region():
     base = get_tuple("arch")
     tup = GoodTuple(name="flat", f=base.f, f_prime=base.f_prime,
                     sigma=base.sigma, sigma_hat=_FlatAtOrigin(0.5))
+    register_tuple(tup, overwrite=True)
     oracle = TableOracle([0.0, 1.0])
     with pytest.raises(TupleError):
-        esg_given_noise(np.array([0.5]), tup, oracle, np.array([0.1]))
+        make_estimator("esg:flat").at_noise(np.array([0.5]), oracle, np.array([0.1]))
 
 
 def test_naive_value_is_unbiased():
@@ -351,3 +343,70 @@ def test_noise_buffer_matches_per_trial_draws(spec):
     alone = np.stack([est.draw_noise(np.random.default_rng(i), d) for i in range(m)])
     assert alone.shape == (m, d)
     assert est.noise_from(draws).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_at_noise_rejects_wrong_noise_shape(spec):
+    est = make_estimator(spec)
+    oracle = TableOracle(np.arange(8.0))
+    x = est.encode(np.array([0.3, 0.5, 0.8]))
+    for noise in (np.full(2, 0.1), np.full(4, 0.1), np.full((1, 3), 0.1), 0.1):
+        with pytest.raises(DimensionMismatchError):
+            est.at_noise(x, oracle, noise)
+    assert oracle.call_count == 0
+
+
+def _reference_batch(est, states, noise, oracle):
+    """(keys, values, grads, raw) by the per-method formulas as they were
+    written before the product kernel, each with its own operation order."""
+    states = np.array(states)  # broadcast rows become ordinary rows
+    if est.spec == "reinforce":
+        keys = noise < states
+        q = oracle.query_batch(keys)
+        score = keys / states - (1.0 - keys) / (1.0 - states)
+        return keys, np.full(len(q), math.nan), q[:, None] * score, q[:, None]
+    if est.spec == "naive":
+        keys = UniformInterval(0.5).inv_cdf(states) + noise >= 0.0
+        q = oracle.query_batch(keys)
+        return keys, q, np.zeros(keys.shape), q[:, None]
+    tup = est.tup
+    e = states if est.encoded else tup.sigma_hat.inv_cdf(states)
+    z = e + noise
+    keys = z >= 0.0
+    fv, fp = tup.f(np.abs(z)), tup.f_prime(np.abs(z))
+    loo = _leave_one_out(fv)
+    q = oracle.query_batch(keys)
+    gweight = np.sign(z) * fp * loo
+    if not est.encoded:
+        gweight = gweight / tup.sigma_hat.density(e)
+    return keys, q * fv[:, 0] * loo[:, 0], q[:, None] * gweight, q[:, None]
+
+
+def _assert_same_batch(batch, want, spec):
+    keys, values, grads, raw = want
+    assert batch.keys.tobytes() == keys.tobytes(), spec
+    assert batch.values.tobytes() == values.tobytes(), spec
+    assert batch.raw.tobytes() == raw.tobytes(), spec
+    if spec == "naive":  # Q * 0 is +0.0 or -0.0
+        assert np.array_equal(batch.grads, grads), spec
+    else:
+        assert batch.grads.tobytes() == grads.tobytes(), spec
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s not in ("arm", "disarm")])
+def test_product_kernel_matches_the_per_method_formulas(spec):
+    est = make_estimator(spec)
+    d = 6
+    oracle = TableOracle(np.random.default_rng(21).normal(size=2**d))
+    for m in (1, 20):
+        rng = np.random.default_rng(m)
+        states = est.encode(rng.uniform(0.05, 0.95, size=(m, d)))
+        noise = np.stack([est.draw_noise(rng, d) for _ in range(m)])
+        batch = est.evaluate(states, noise, oracle)
+        _assert_same_batch(batch, _reference_batch(est, states, noise, oracle), spec)
+    # sample_batch hands evaluate broadcast rows of one state.
+    x = est.encode(np.linspace(0.1, 0.9, d))
+    batch = est.sample_batch(x, oracle, np.random.default_rng(5), 50)
+    noise = est.draw_noise_batch(np.random.default_rng(5), 50, d)
+    states = np.broadcast_to(x, (50, d))
+    _assert_same_batch(batch, _reference_batch(est, states, noise, oracle), spec)

@@ -8,15 +8,9 @@ from sqgrad.oracles import (
     KnapsackOracle,
     SymmetricSliceOracle,
     TableOracle,
-    hamming_weight,
     make_knapsack,
     parse_problem,
 )
-
-
-def test_hamming_weight():
-    assert hamming_weight(np.array([1, 0, 1, 1])) == 3
-    assert hamming_weight(np.zeros(5)) == 0
 
 
 def test_table_oracle_bit_order():
