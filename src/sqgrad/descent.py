@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ScheduleError
+from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError
 from .estimators import Estimator, make_estimator
 from .oracles import Oracle, ProblemSpec
 
@@ -110,6 +110,9 @@ class DescentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.snapshot_every is not None and int(self.snapshot_every) < 1:
             raise ConfigError("snapshot_every must be positive")
+        x0 = np.asarray(self.x0, dtype=float)
+        if not np.all((x0 > 0.0) & (x0 < 1.0)):
+            raise DomainError("x0 must lie strictly inside (0, 1)^d")
 
 
 @dataclass
@@ -143,9 +146,11 @@ def _initial_states(
     rows = []
     for cfg in configs:
         x0 = np.asarray(cfg.x0, dtype=float)
+        if x0.ndim and x0.shape != (d,):
+            raise DimensionMismatchError(
+                f"x0 has shape {x0.shape} but the oracle has dimension {d}"
+            )
         x0 = np.broadcast_to(x0, (d,)).astype(float)
-        if not np.all((x0 > 0.0) & (x0 < 1.0)):
-            raise DomainError("x0 must lie strictly inside (0, 1)^d")
         rows.append(np.clip(est.encode(x0), lo, hi))
     return np.array(rows), lo, hi
 
@@ -274,12 +279,16 @@ def run_repeated(
     get a fresh instance per trial from the matching derivation."""
     if int(n_trials) < 1:
         raise ConfigError("n_trials must be at least 1")
-    configs = [
-        replace(config, seed=derive_seed(base_seed, i)) for i in range(int(n_trials))
-    ]
+    n = int(n_trials)
+    configs = [replace(config, seed=derive_seed(base_seed, i)) for i in range(n)]
+    keys = [(base_seed, i, 1) for i in range(n)]
+    return _run_group(configs, _trial_oracles(problem, keys))
+
+
+def _trial_oracles(problem: ProblemSpec, keys: list[tuple]) -> list[Oracle]:
+    """One oracle per trial: a fresh instance from ``derive_rng(*key)``
+    for a randomized family, else one instance, from the first key,
+    shared by every trial."""
     if problem.randomized:
-        oracles = [problem.make(derive_rng(base_seed, i, 1)) for i in range(int(n_trials))]
-    else:
-        shared = problem.make(derive_rng(base_seed, 0, 1))
-        oracles = [shared] * int(n_trials)
-    return _run_group(configs, oracles)
+        return [problem.make(derive_rng(*key)) for key in keys]
+    return [problem.make(derive_rng(*keys[0]))] * len(keys)

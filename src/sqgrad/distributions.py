@@ -11,10 +11,12 @@ N(m, s^2) and N(-m, s^2)).  Their encodings are :class:`Triangular`,
 :class:`HalfCosine`, :class:`RaisedCosine`, :class:`UniformInterval`
 and :class:`TabulatedSymmetric`.
 
-All methods accept floats or numpy arrays; scalar input yields a float,
-and ``sample(rng)`` with no size returns a float.  Samplers consume a
-``numpy.random.Generator`` so that streams can be derived and replayed
-deterministically.
+The public ``cdf``, ``inv_cdf`` and ``density`` live in
+:class:`SymmetricDistribution`; a law implements only ``_cdf``,
+``_inv_cdf`` and ``_density`` on float arrays.  Scalar input yields a
+float, and ``sample(rng)`` with no size returns a float.  Samplers
+consume a ``numpy.random.Generator`` so that streams can be derived and
+replayed deterministically.
 
 Each law defines its sampler once, as two halves:
 
@@ -37,8 +39,8 @@ PCHIP coefficients itself, with the formulas and the order of
 operations of scipy's ``PchipInterpolator``, and evaluates them as
 scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
 the cubic is summed in PPoly's order, so each value has scipy's bits.
-Only :meth:`GaussianMixture.cdf` (and so its ``inv_cdf``) imports scipy,
-for ``ndtr``, when first called.
+Only :meth:`GaussianMixture.cdf` imports scipy, for ``ndtr``, when
+first called.
 
 :meth:`TabulatedSymmetric.inv_cdf` bisects each quantile's PCHIP cell
 until the call's widest bracket is below ``INV_TOL``.  It replays most
@@ -103,10 +105,14 @@ def _bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200
 class SymmetricDistribution:
     """Common interface: cdf, inv_cdf, density, sample, support.
 
-    Subclasses without a closed-form sampler inherit inverse-transform
-    sampling; subclasses without a density or an inverse must raise
-    :class:`NoDensityError` / :class:`NotInvertibleError` instead of
-    returning garbage.
+    ``cdf``, ``inv_cdf`` and ``density`` convert their input to a float
+    array, call the law's ``_cdf``, ``_inv_cdf`` or ``_density`` on it
+    and return a float for a scalar; ``inv_cdf`` first rejects
+    probabilities outside (0, 1).  A law without a body raises
+    ``NotImplementedError``; one whose density or inverse does not exist
+    raises :class:`NoDensityError` / :class:`NotInvertibleError` instead
+    of returning garbage.  Laws without a closed-form sampler inherit
+    inverse-transform sampling.
     """
 
     has_density: bool = True
@@ -118,13 +124,28 @@ class SymmetricDistribution:
         raise NotImplementedError
 
     def cdf(self, z):
-        raise NotImplementedError
+        z = np.asarray(z, dtype=float)
+        return _maybe_scalar(self._cdf(z), z.ndim == 0)
 
     def inv_cdf(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        # One pass each way; a NaN fails both comparisons and is rejected.
+        if x.size and not (x.min() > 0.0 and x.max() < 1.0):
+            raise DomainError("inv_cdf expects probabilities strictly inside (0, 1)")
+        return _maybe_scalar(self._inv_cdf(x), x.ndim == 0)
 
     def density(self, z):
-        raise NotImplementedError
+        z = np.asarray(z, dtype=float)
+        return _maybe_scalar(self._density(z), z.ndim == 0)
+
+    def _cdf(self, z: np.ndarray):
+        raise NotImplementedError(f"{type(self).__name__} has no cdf")
+
+    def _inv_cdf(self, x: np.ndarray):
+        raise NotImplementedError(f"{type(self).__name__} has no inv_cdf")
+
+    def _density(self, z: np.ndarray):
+        raise NotImplementedError(f"{type(self).__name__} has no density")
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out``, shape (draws, *size), with generator output.
@@ -147,13 +168,6 @@ class SymmetricDistribution:
         out = self.from_draws(raw)
         return float(out[0]) if size is None else out
 
-    def _check_prob_open(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # One pass each way; a NaN fails both comparisons and is rejected.
-        if x.size and not (x.min() > 0.0 and x.max() < 1.0):
-            raise DomainError("inv_cdf expects probabilities strictly inside (0, 1)")
-        return x
-
 
 @dataclass(frozen=True)
 class UniformInterval(SymmetricDistribution):
@@ -169,22 +183,16 @@ class UniformInterval(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _cdf(self, z):
         c = self.half_width
-        out = np.clip((z + c) / (2.0 * c), 0.0, 1.0)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.clip((z + c) / (2.0 * c), 0.0, 1.0)
 
-    def inv_cdf(self, x):
-        x = self._check_prob_open(x)
-        out = (2.0 * x - 1.0) * self.half_width
-        return _maybe_scalar(out, x.ndim == 0)
+    def _inv_cdf(self, x):
+        return (2.0 * x - 1.0) * self.half_width
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
+    def _density(self, z):
         c = self.half_width
-        out = np.where(np.abs(z) <= c, 1.0 / (2.0 * c), 0.0)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.where(np.abs(z) <= c, 1.0 / (2.0 * c), 0.0)
 
     def draw(self, rng, out):
         rng.random(out=out[0])
@@ -208,17 +216,15 @@ class TwoPoint(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-self.magnitude, self.magnitude)
 
-    def cdf(self, z):
+    def _cdf(self, z):
         # Right-continuous step function.
-        z = np.asarray(z, dtype=float)
         c = self.magnitude
-        out = np.where(z < -c, 0.0, np.where(z < c, 0.5, 1.0))
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.where(z < -c, 0.0, np.where(z < c, 0.5, 1.0))
 
-    def inv_cdf(self, x):
+    def _inv_cdf(self, x):
         raise NotInvertibleError("a two-point law has no continuous inverse cdf")
 
-    def density(self, z):
+    def _density(self, z):
         raise NoDensityError("a two-point law has no density")
 
     def draw(self, rng, out):
@@ -237,10 +243,6 @@ class GaussianMixture(SymmetricDistribution):
     scale: float
     draws = 2
 
-    #: inv_cdf bisection runs to this absolute tolerance in z.
-    INV_TOL = 1e-12
-    INV_MAX_ITER = 200
-
     def __post_init__(self):
         if not self.scale > 0.0:
             raise DomainError("scale must be positive")
@@ -251,24 +253,21 @@ class GaussianMixture(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
-    def cdf(self, z):
+    def _cdf(self, z):
         from scipy.special import ndtr
 
-        z = np.asarray(z, dtype=float)
         m, s = self.center, self.scale
-        out = 0.5 * (ndtr((z - m) / s) + ndtr((z + m) / s))
-        return _maybe_scalar(np.asarray(out), z.ndim == 0)
+        return 0.5 * (ndtr((z - m) / s) + ndtr((z + m) / s))
 
-    def density(self, z):
+    def _density(self, z):
         # (exp(-0.5 ((z - m) / s) ** 2) + exp(-0.5 ((z + m) / s) ** 2))
         # / (2 s sqrt(2 pi)), evaluated in place: the bigauss encoding
         # table calls it on a 2049 x 1536 grid.
-        z = np.asarray(z, dtype=float)
         m, s = self.center, self.scale
         a = self._bump(z - m)
         a += self._bump(z + m)
         a /= 2.0 * s * math.sqrt(2.0 * math.pi)
-        return _maybe_scalar(a, z.ndim == 0)
+        return a
 
     def _bump(self, t):
         """exp(-0.5 (t / scale) ** 2), overwriting an array t.
@@ -280,21 +279,6 @@ class GaussianMixture(SymmetricDistribution):
         t **= 2
         t *= -0.5
         return np.exp(t, out=t) if t.ndim else np.exp(t)
-
-    def inv_cdf(self, x):
-        x = self._check_prob_open(x)
-        half = self.center + 8.0 * self.scale
-        lo = np.full(x.shape, -half)
-        hi = np.full(x.shape, half)
-        # Widen until the bracket certainly contains every quantile.
-        while np.any(self.cdf(lo) > x):
-            lo = lo - 8.0 * self.scale
-        while np.any(self.cdf(hi) < x):
-            hi = hi + 8.0 * self.scale
-        out = _bisect_increasing(
-            self.cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
-        )
-        return _maybe_scalar(out, x.ndim == 0)
 
     def draw(self, rng, out):
         # The component's sign first, then the normal, as one stream.
@@ -320,28 +304,22 @@ class Triangular(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _cdf(self, z):
         c = self.half_width
         t = np.clip(z, -c, c)
         left = (c + t) ** 2 / (2.0 * c * c)
         right = 1.0 - (c - t) ** 2 / (2.0 * c * c)
-        out = np.where(t <= 0.0, left, right)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.where(t <= 0.0, left, right)
 
-    def inv_cdf(self, x):
-        x = self._check_prob_open(x)
+    def _inv_cdf(self, x):
         c = self.half_width
         left = c * (np.sqrt(2.0 * x) - 1.0)
         right = c * (1.0 - np.sqrt(2.0 * (1.0 - x)))
-        out = np.where(x <= 0.5, left, right)
-        return _maybe_scalar(out, x.ndim == 0)
+        return np.where(x <= 0.5, left, right)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
+    def _density(self, z):
         c = self.half_width
-        out = np.where(np.abs(z) <= c, (c - np.abs(z)) / (c * c), 0.0)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.where(np.abs(z) <= c, (c - np.abs(z)) / (c * c), 0.0)
 
 
 @dataclass(frozen=True)
@@ -358,27 +336,21 @@ class HalfCosine(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _cdf(self, z):
         c = self.half_width
         t = np.clip(z, -c, c)
-        out = 0.5 * (1.0 + np.sin(0.5 * math.pi * t / c))
-        return _maybe_scalar(out, z.ndim == 0)
+        return 0.5 * (1.0 + np.sin(0.5 * math.pi * t / c))
 
-    def inv_cdf(self, x):
-        x = self._check_prob_open(x)
+    def _inv_cdf(self, x):
         c = self.half_width
-        out = (2.0 * c / math.pi) * np.arcsin(2.0 * x - 1.0)
-        return _maybe_scalar(out, x.ndim == 0)
+        return (2.0 * c / math.pi) * np.arcsin(2.0 * x - 1.0)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
+    def _density(self, z):
         c = self.half_width
         inside = np.abs(z) <= c
-        out = np.where(
+        return np.where(
             inside, (math.pi / (4.0 * c)) * np.cos(0.5 * math.pi * z / c), 0.0
         )
-        return _maybe_scalar(out, z.ndim == 0)
 
 
 @dataclass(frozen=True)
@@ -398,30 +370,24 @@ class RaisedCosine(SymmetricDistribution):
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _cdf(self, z):
         c = self.half_width
         t = np.clip(z, -c, c)
-        out = 0.5 + 0.5 * t / c + np.sin(math.pi * t / c) / (2.0 * math.pi)
-        return _maybe_scalar(out, z.ndim == 0)
+        return 0.5 + 0.5 * t / c + np.sin(math.pi * t / c) / (2.0 * math.pi)
 
-    def inv_cdf(self, x):
+    def _inv_cdf(self, x):
         # No closed form: the cdf mixes a line and a sine.
-        x = self._check_prob_open(x)
         c = self.half_width
         lo = np.full(x.shape, -c)
         hi = np.full(x.shape, c)
-        out = _bisect_increasing(
+        return _bisect_increasing(
             self.cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
         )
-        return _maybe_scalar(out, x.ndim == 0)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
+    def _density(self, z):
         c = self.half_width
         inside = np.abs(z) <= c
-        out = np.where(inside, (1.0 + np.cos(math.pi * z / c)) / (2.0 * c), 0.0)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.where(inside, (1.0 + np.cos(math.pi * z / c)) / (2.0 * c), 0.0)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -586,24 +552,19 @@ class TabulatedSymmetric(SymmetricDistribution):
         cell = np.minimum(np.searchsorted(grid, t, side="right") - 1, grid.size - 2)
         return self._coef.take(cell, axis=1), t - grid[cell]
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _cdf(self, z):
         (c0, c1, c2, c3), s = self._locate(z)
-        out = (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
-        return _maybe_scalar(out, z.ndim == 0)
+        return (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=float)
+    def _density(self, z):
         inside = (z >= self._grid[0]) & (z <= self._grid[-1])
         (c0, c1, c2, _), s = self._locate(z)
         # The derivative's rows are 3 c0, 2 c1 and c2, summed from 0.0.
         out = (0.0 + c2) + (2.0 * c1) * s + (3.0 * c0) * (s * s)
         out = np.where(inside, out, 0.0)
-        out = np.maximum(out, 0.0)
-        return _maybe_scalar(out, z.ndim == 0)
+        return np.maximum(out, 0.0)
 
-    def inv_cdf(self, x):
-        x = self._check_prob_open(x)
+    def _inv_cdf(self, x):
         flat = np.atleast_1d(x)
         grid, last = self._grid, self._grid.size - 1
         # The table brackets each quantile in one PCHIP cell [lo, hi].
@@ -635,8 +596,7 @@ class TabulatedSymmetric(SymmetricDistribution):
         _exact_rounds(
             flat, lo, hi, left, coef, edge, certain - k, self.INV_MAX_ITER - k, self.INV_TOL
         )
-        out = (0.5 * (lo + hi)).reshape(x.shape)
-        return _maybe_scalar(out, x.ndim == 0)
+        return (0.5 * (lo + hi)).reshape(x.shape)
 
     def _certain_rounds(self, widest: float) -> int:
         """Rounds the stop rule max(hi - lo) < INV_TOL is certain to run.

@@ -388,62 +388,43 @@ def _reinforce_coordinates(est: _ProductEstimator, x, u):
 
 
 class _PairedScoreEstimator(Estimator):
-    """Antithetic pair construction shared by arm and disarm."""
+    """Antithetic pair construction shared by arm and disarm.
+
+    ``logit_grad(x, u, keys, diff)`` is the method's gradient in logit
+    space, from the states, the uniforms, the (m, 2, d) key pair and the
+    (m, 1) difference of the pair's oracle values; the chain rule
+    d logit / dx = 1/(x(1-x)) maps it back to x.
+    """
 
     provides_value = False
     queries_per_sample = 2
     noise_law = _UnitUniform()
 
-    @staticmethod
-    def _nan_values(n: int) -> np.ndarray:
-        return np.full(n, math.nan)
-
-    @staticmethod
-    def _pair(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.stack([u > 1.0 - x, u < x], axis=1)  # (m, 2, d), bool
-
-
-class _ArmEstimator(_PairedScoreEstimator):
-    spec = "arm"
+    def __init__(self, spec: str, logit_grad):
+        self.spec = spec
+        self.logit_grad = logit_grad
 
     def evaluate(self, x, noise, oracles):
-        keys = self._pair(x, noise)
+        keys = np.stack([noise > 1.0 - x, noise < x], axis=1)  # (m, 2, d), bool
         raw = _query_rows(keys, oracles)
-        # Logit-space gradient, then the chain rule d logit / dx = 1/(x(1-x)).
-        g_logit = (raw[:, 0] - raw[:, 1])[:, None] * (noise - 0.5)
-        grads = g_logit / (x * (1.0 - x))
+        diff = (raw[:, 0] - raw[:, 1])[:, None]
         return SampleBatch(
             keys=keys,
-            values=self._nan_values(x.shape[0]),
-            grads=grads,
+            values=np.full(x.shape[0], math.nan),
+            grads=self.logit_grad(x, noise, keys, diff) / (x * (1.0 - x)),
             raw=raw,
             queries=2 * x.shape[0],
         )
 
 
-class _DisarmEstimator(_PairedScoreEstimator):
-    spec = "disarm"
+def _arm_logit_grad(x, u, keys, diff):
+    return diff * (u - 0.5)
 
-    def evaluate(self, x, noise, oracles):
-        keys = self._pair(x, noise)
-        raw = _query_rows(keys, oracles)
-        y1, y2 = keys[:, 0, :], keys[:, 1, :]
-        # sigmoid(|logit(x)|) simplifies to max(x, 1-x).
-        g_logit = (
-            0.5
-            * (raw[:, 0] - raw[:, 1])[:, None]
-            * np.where(y2, -1.0, 1.0)
-            * (y1 != y2)
-            * np.maximum(x, 1.0 - x)
-        )
-        grads = g_logit / (x * (1.0 - x))
-        return SampleBatch(
-            keys=keys,
-            values=self._nan_values(x.shape[0]),
-            grads=grads,
-            raw=raw,
-            queries=2 * x.shape[0],
-        )
+
+def _disarm_logit_grad(x, u, keys, diff):
+    y1, y2 = keys[:, 0, :], keys[:, 1, :]
+    # sigmoid(|logit(x)|) simplifies to max(x, 1-x).
+    return 0.5 * diff * np.where(y2, -1.0, 1.0) * (y1 != y2) * np.maximum(x, 1.0 - x)
 
 
 # ---------- construction ----------
@@ -474,9 +455,9 @@ def make_estimator(spec: str) -> Estimator:
             "reinforce", _reinforce_coordinates, _UnitUniform(), provides_value=False
         )
     if text == "arm":
-        return _ArmEstimator()
+        return _PairedScoreEstimator("arm", _arm_logit_grad)
     if text == "disarm":
-        return _DisarmEstimator()
+        return _PairedScoreEstimator("disarm", _disarm_logit_grad)
     raise ConfigError(f"unknown estimator {spec!r}")
 
 

@@ -23,13 +23,13 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .descent import DescentConfig, Schedule, Trajectory, _run_group, derive_rng, derive_seed
-from .errors import ConfigError, EmptyInputError
+from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
+from .errors import ConfigError, EmptyInputError, SqgradError
 from .estimators import make_estimator
 from .oracles import ProblemSpec, parse_problem
 
@@ -83,10 +83,15 @@ class ExperimentSpec:
     grid_points: int = 512
 
     def __post_init__(self):
+        # The name becomes <out_dir>/<name>.csv and .svg.
+        if not self.name or os.path.basename(self.name) != self.name or "\0" in self.name:
+            raise ConfigError(f"name {self.name!r} must be a plain file name")
         if int(self.budget) < 1:
             raise ConfigError("budget must be a positive call count")
         if int(self.n_trials) < 1:
             raise ConfigError("n_trials must be at least 1")
+        if int(self.base_seed) < 0:
+            raise ConfigError("base_seed must be a nonnegative integer")
         if int(self.grid_points) < 2:
             raise ConfigError("grid_points must be at least 2")
         if not self.methods:
@@ -94,6 +99,29 @@ class ExperimentSpec:
         labels = [m.display for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError("method labels must be unique within an experiment")
+        for mi in range(len(self.methods)):
+            self.method_config(mi)
+
+    def method_config(self, mi: int) -> DescentConfig:
+        """Method mi's descent run, the budget spent in whole steps; the
+        seed is set per trial."""
+        method = self.methods[mi]
+        est = make_estimator(method.estimator)
+        steps = int(self.budget) // est.queries_per_sample
+        if steps < 1:
+            raise ConfigError(
+                f"budget {self.budget} cannot fund one step of {method.estimator}"
+            )
+        config = DescentConfig(
+            estimator=method.estimator,
+            steps=steps,
+            schedule=Schedule(method.schedule, method.eta),
+            direction=self.direction,
+            x0=self.x0,
+            clamp=self.clamp,
+        )
+        est.state_bounds(config.clamp)  # rejects a clamp so thin that 1 - clamp is 1
+        return config
 
 
 @dataclass
@@ -115,24 +143,56 @@ class ExperimentResult:
     series: list[AggregateSeries] = field(default_factory=list)
 
 
-def _take(raw: dict, key: str, default=None, required: bool = False):
-    if required and key not in raw:
-        raise ConfigError(f"missing required field {key!r}")
-    return raw.pop(key, default)
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _checked(key: str, value, kind: type):
+    """``value`` as ``kind`` if its JSON type fits: an integer field takes
+    a number with no fractional part, and booleans are not numbers."""
+    if kind in (int, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _take(raw: dict, key: str, kind: type, default=None, required: bool = False):
+    """Pop a field of a JSON object, checked by ``_checked``; ``null``
+    stands for the default where that is None."""
+    if key not in raw:
+        if required:
+            raise ConfigError(f"missing required field {key!r}")
+        return default
+    value = raw.pop(key)
+    if value is None and default is None and not required:
+        return None
+    return _checked(key, value, kind)
+
+
+def _read_json(path, what: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return raw
 
 
 def _method_from_dict(raw: dict) -> MethodSpec:
-    raw = dict(raw)
     spec = MethodSpec(
-        estimator=str(_take(raw, "estimator", required=True)),
-        eta=float(_take(raw, "eta", required=True)),
-        schedule=str(_take(raw, "schedule", "constant")),
-        label=_take(raw, "label"),
+        estimator=_take(raw, "estimator", str, required=True),
+        eta=_take(raw, "eta", float, required=True),
+        schedule=_take(raw, "schedule", str, "constant"),
+        label=_take(raw, "label", str),
     )
     if raw:
         raise ConfigError(f"unknown method fields: {sorted(raw)}")
-    Schedule(spec.schedule, spec.eta)  # fail early on bad schedules
-    make_estimator(spec.estimator)
     return spec
 
 
@@ -142,62 +202,66 @@ def load_experiment_spec(path) -> ExperimentSpec:
     Required: name, problem, budget, n_trials, methods (each with
     estimator and eta).  Optional: base_seed, direction, x0, clamp,
     grid_points, per-method schedule and label.  Unknown fields are
-    rejected rather than ignored.
+    rejected rather than ignored, and so is any spec that cannot run:
+    each error is a ``ConfigError`` that names the file and the field.
     """
+    raw = _read_json(path, "experiment spec")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read experiment spec {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment spec must be a JSON object")
-    methods_raw = _take(raw, "methods", required=True)
-    if not isinstance(methods_raw, list):
-        raise ConfigError("methods must be a JSON array")
-    spec = ExperimentSpec(
-        name=str(_take(raw, "name", required=True)),
-        problem=str(_take(raw, "problem", required=True)),
-        budget=int(_take(raw, "budget", required=True)),
-        n_trials=int(_take(raw, "n_trials", required=True)),
-        methods=tuple(_method_from_dict(m) for m in methods_raw),
-        base_seed=int(_take(raw, "base_seed", 0)),
-        direction=str(_take(raw, "direction", "maximize")),
-        x0=float(_take(raw, "x0", 0.5)),
-        clamp=float(_take(raw, "clamp", 1e-4)),
-        grid_points=int(_take(raw, "grid_points", 512)),
-    )
-    if raw:
-        raise ConfigError(f"unknown experiment fields: {sorted(raw)}")
-    parse_problem(spec.problem)
+        methods_raw = _take(raw, "methods", list, required=True)
+        spec = ExperimentSpec(
+            name=_take(raw, "name", str, required=True),
+            problem=_take(raw, "problem", str, required=True),
+            budget=_take(raw, "budget", int, required=True),
+            n_trials=_take(raw, "n_trials", int, required=True),
+            methods=tuple(
+                _method_from_dict(_checked(f"methods[{i}]", m, dict))
+                for i, m in enumerate(methods_raw)
+            ),
+            base_seed=_take(raw, "base_seed", int, 0),
+            direction=_take(raw, "direction", str, "maximize"),
+            x0=_take(raw, "x0", float, 0.5),
+            clamp=_take(raw, "clamp", float, 1e-4),
+            grid_points=_take(raw, "grid_points", int, 512),
+        )
+        if raw:
+            raise ConfigError(f"unknown experiment fields: {sorted(raw)}")
+        parse_problem(spec.problem)
+    except SqgradError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return spec
 
 
 def load_descent_config(path) -> tuple[DescentConfig, ProblemSpec]:
-    """Read a single-run descent description from JSON."""
+    """Read a single-run descent description from JSON; like
+    ``load_experiment_spec``, it rejects at load what cannot run."""
+    raw = _read_json(path, "descent config")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read descent config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("descent config must be a JSON object")
-    problem = parse_problem(str(_take(raw, "problem", required=True)))
-    x0 = _take(raw, "x0", 0.5)
-    config = DescentConfig(
-        estimator=str(_take(raw, "estimator", required=True)),
-        steps=int(_take(raw, "steps", required=True)),
-        schedule=Schedule(
-            str(_take(raw, "schedule", "constant")),
-            float(_take(raw, "eta", required=True)),
-        ),
-        direction=str(_take(raw, "direction", "minimize")),
-        x0=tuple(x0) if isinstance(x0, list) else float(x0),
-        clamp=float(_take(raw, "clamp", 1e-4)),
-        seed=int(_take(raw, "seed", 0)),
-        snapshot_every=_take(raw, "snapshot_every"),
-    )
-    if raw:
-        raise ConfigError(f"unknown descent fields: {sorted(raw)}")
+        problem = parse_problem(_take(raw, "problem", str, required=True))
+        x0 = raw.pop("x0", 0.5)
+        config = DescentConfig(
+            estimator=_take(raw, "estimator", str, required=True),
+            steps=_take(raw, "steps", int, required=True),
+            schedule=Schedule(
+                _take(raw, "schedule", str, "constant"),
+                _take(raw, "eta", float, required=True),
+            ),
+            direction=_take(raw, "direction", str, "minimize"),
+            x0=(tuple(_checked("x0", v, float) for v in x0)
+                if isinstance(x0, list) else _checked("x0", x0, float)),
+            clamp=_take(raw, "clamp", float, 1e-4),
+            seed=_take(raw, "seed", int, 0),
+            snapshot_every=_take(raw, "snapshot_every", int),
+        )
+        if raw:
+            raise ConfigError(f"unknown descent fields: {sorted(raw)}")
+        make_estimator(config.estimator).state_bounds(config.clamp)
+        if isinstance(config.x0, tuple) and len(config.x0) != problem.d:
+            raise ConfigError(
+                f"x0 has {len(config.x0)} coordinates but {problem.name} "
+                f"has dimension {problem.d}"
+            )
+    except SqgradError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config, problem
 
 
@@ -248,35 +312,13 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     problems derive from (base_seed, 1, trial) only, so every method
     faces the same sequence of instances; noise streams derive from
     (base_seed, 2, method, trial)."""
-    method = spec.methods[mi]
-    problem = parse_problem(spec.problem)
-    est = make_estimator(method.estimator)
-    steps = int(spec.budget) // est.queries_per_sample
-    if steps < 1:
-        raise ConfigError(
-            f"budget {spec.budget} cannot fund one step of {method.estimator}"
-        )
+    config = spec.method_config(mi)
+    n = int(spec.n_trials)
     configs = [
-        DescentConfig(
-            estimator=method.estimator,
-            steps=steps,
-            schedule=Schedule(method.schedule, method.eta),
-            direction=spec.direction,
-            x0=spec.x0,
-            clamp=spec.clamp,
-            seed=derive_seed(spec.base_seed, 2, mi, trial),
-        )
-        for trial in range(int(spec.n_trials))
+        replace(config, seed=derive_seed(spec.base_seed, 2, mi, trial)) for trial in range(n)
     ]
-    if problem.randomized:
-        oracles = [
-            problem.make(derive_rng(spec.base_seed, 1, trial))
-            for trial in range(int(spec.n_trials))
-        ]
-    else:
-        shared = problem.make(derive_rng(spec.base_seed, 1, 0))
-        oracles = [shared] * int(spec.n_trials)
-    return _run_group(configs, oracles)
+    keys = [(spec.base_seed, 1, trial) for trial in range(n)]
+    return _run_group(configs, _trial_oracles(parse_problem(spec.problem), keys))
 
 
 def _worker_cap() -> int:

@@ -275,7 +275,10 @@ def parse_problem(text: str) -> ProblemSpec:
             return ProblemSpec(text, d, False, lambda rng: SymmetricSliceOracle(d))
         return ProblemSpec(text, d, True, lambda rng: make_knapsack(d, rng))
     if kind == "table":
-        oracle = TableOracle.from_csv(arg)
+        try:
+            oracle = TableOracle.from_csv(arg)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"cannot read table {arg!r}: {exc}") from exc
 
         def _clone(rng: np.random.Generator, _table=oracle._table) -> Oracle:
             return TableOracle(_table)

@@ -1,11 +1,19 @@
+import copy
 import json
+import math
+import os
+import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sqgrad.descent import Trajectory
+from sqgrad.cli import EXIT_RUNTIME, main
+from sqgrad.descent import Trajectory, descend
 from sqgrad.errors import ConfigError, EmptyInputError
 from sqgrad.harness import (
     ENV_MAX_WORKERS,
@@ -279,9 +287,9 @@ def test_worker_cap_env_validation(tmp_path, monkeypatch):
 
 def test_budget_must_fund_one_step(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_MAX_WORKERS, "1")
-    spec = load_experiment_spec(_write_spec(
-        tmp_path, budget=1, methods=[{"estimator": "arm", "eta": 0.1}]))
     with pytest.raises(ConfigError):
+        spec = load_experiment_spec(_write_spec(
+            tmp_path, budget=1, methods=[{"estimator": "arm", "eta": 0.1}]))
         run_experiment(spec)
 
 
@@ -318,3 +326,156 @@ def test_experiment_spec_validation():
         ExperimentSpec("x", "slice:4", 10, 3, ())
     with pytest.raises(ConfigError):
         ExperimentSpec("x", "slice:4", 10, 3, m, grid_points=1)
+
+
+def _descent_dict(**kw):
+    base = {"estimator": "esg:arch", "problem": "slice:4", "steps": 8,
+            "eta": 0.1, "direction": "maximize", "seed": 5}
+    base.update(kw)
+    return base
+
+
+def _arch(**kw):
+    return [{"estimator": "esg:arch", "eta": 0.1, **kw}]
+
+
+# (loader, changed fields, the field the error must name)
+_MALFORMED = {
+    "budget_string": ("experiment", {"budget": "many"}, "budget"),
+    "budget_null": ("experiment", {"budget": None}, "budget"),
+    "budget_fraction": ("experiment", {"budget": 3.7}, "budget.*integer"),
+    "method_not_object": ("experiment", {"methods": [1]}, "methods"),
+    "x0_list": ("experiment", {"x0": [0.5, 0.5, 0.5, 0.5]}, "x0"),
+    "eta_string": ("experiment", {"methods": _arch(eta="x")}, "eta"),
+    "direction": ("experiment", {"direction": "up"}, "direction"),
+    "x0_out_of_range": ("experiment", {"x0": 1.5}, "x0"),
+    "x0_nan": ("experiment", {"x0": math.nan}, "x0"),
+    "clamp": ("experiment", {"clamp": 0.7}, "clamp"),
+    "budget_below_one_arm_step": (
+        "experiment", {"budget": 1, "methods": [{"estimator": "arm", "eta": 0.1}]},
+        "budget"),
+    "label_not_string": ("experiment", {"methods": _arch(label=5)}, "label"),
+    "name_not_a_file_name": ("experiment", {"name": "a/b"}, "name"),
+    "steps_string": ("descend", {"steps": "x"}, "steps"),
+    "snapshot_every_string": ("descend", {"snapshot_every": "abc"}, "snapshot_every"),
+    "snapshot_every_fraction": (
+        "descend", {"snapshot_every": 0.5}, "snapshot_every.*integer"),
+    "estimator_unknown": ("descend", {"estimator": "bogus"}, "estimator"),
+    "descent_x0_out_of_range": ("descend", {"x0": [0.5, 0.5, 1.2, 0.5]}, "x0"),
+    "descent_x0_wrong_length": ("descend", {"x0": [0.5, 0.5]}, "x0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_spec_is_rejected_at_load(tmp_path, capsys, monkeypatch, case):
+    # Each of these used to load and then fail in the run, or escape the
+    # loader as a bare ValueError or TypeError.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    kind, change, field = _MALFORMED[case]
+    base = _spec_dict() if kind == "experiment" else _descent_dict()
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**base, **change}))
+    pattern = rf"case\.json: .*{field}"
+    load = load_experiment_spec if kind == "experiment" else load_descent_config
+    with pytest.raises(ConfigError, match=pattern):
+        load(path)
+    if kind == "experiment":
+        argv = ["experiment", "--spec", str(path), "--out-dir", str(tmp_path)]
+    else:
+        argv = ["descend", "--config", str(path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_RUNTIME
+    assert re.search(pattern, capsys.readouterr().err)
+
+
+def test_integral_numbers_load_as_integers(tmp_path):
+    spec = load_experiment_spec(_write_spec(tmp_path, budget=40.0, n_trials=3))
+    assert spec.budget == 40 and type(spec.budget) is int
+    assert spec == load_experiment_spec(_write_spec(tmp_path))
+
+
+# A tiny valid spec of each kind: at most 8 calls and 2 trials a method.
+_TINY = {
+    "experiment": {
+        "name": "tiny", "problem": "slice:3", "budget": 8, "n_trials": 2,
+        "base_seed": 1, "direction": "maximize", "x0": 0.5, "clamp": 1e-4,
+        "grid_points": 4,
+        "methods": [
+            {"estimator": "esg:arch", "eta": 0.1, "schedule": "constant", "label": "a"},
+            {"estimator": "disarm", "eta": 0.1},
+        ],
+    },
+    "descend": {
+        "problem": "slice:3", "estimator": "esg:arch", "steps": 8, "eta": 0.1,
+        "schedule": "inverse_sqrt", "direction": "minimize", "x0": [0.3, 0.5, 0.7],
+        "clamp": 1e-4, "seed": 2, "snapshot_every": 3,
+    },
+}
+_WRONG_TYPES = ["x", None, True, [0.5], {"a": 1}, 2.5, 1]
+_OUT_OF_RANGE = {
+    "name": ["", "a/b", "a\0b"],
+    "problem": ["slice:0", "cube:3", "table:/absent.csv"],
+    "budget": [0, -4, 1],
+    "n_trials": [0, -1],
+    "base_seed": [-1],
+    "direction": ["up", ""],
+    "x0": [0.0, 1.0, 1.5, -0.2, math.nan, math.inf, [0.5, 1.0, 0.5], [0.5, 0.5]],
+    "clamp": [0.0, 0.5, 0.7, -1.0, math.nan, 1e-17],
+    "grid_points": [1, 0],
+    "estimator": ["bogus", "esg:nope", "esg:"],
+    "eta": [0.0, -0.1, math.nan],
+    "schedule": ["linear"],
+    "label": ["", "disarm"],
+    "steps": [0, -2],
+    "seed": [-1],
+    "snapshot_every": [0, -3],
+}
+
+
+def _mutate(spec: dict, data) -> dict:
+    """One mutation of a valid spec, as a user's typo might make it."""
+    target = spec
+    if "methods" in spec and data.draw(st.booleans()):
+        target = spec["methods"][data.draw(st.integers(0, 1))]
+    key = data.draw(st.sampled_from(sorted(target)))
+    op = data.draw(st.sampled_from(["drop", "type", "range", "unknown", "method", "name"]))
+    if op == "drop":
+        del target[key]
+    elif op == "type":
+        target[key] = data.draw(st.sampled_from(_WRONG_TYPES))
+    elif op == "range" and key in _OUT_OF_RANGE:
+        target[key] = data.draw(st.sampled_from(_OUT_OF_RANGE[key]))
+    elif op == "unknown":
+        target["extra"] = 1
+    elif op == "method" and "methods" in spec:
+        spec["methods"][data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([1, "esg:arch", None, [], True]))
+    elif op == "name" and "methods" in spec:
+        field = data.draw(st.sampled_from(["name", "label"]))
+        bad = data.draw(st.sampled_from(["a/b", "", 5, ["a"], True, "../up", "x\0y"]))
+        (spec if field == "name" else spec["methods"][0])[field] = bad
+    return spec
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_TINY)), data=st.data())
+def test_a_spec_that_loads_runs(monkeypatch, kind, data):
+    # The loader contract: a spec either fails at load with a
+    # ConfigError, or it runs; no other exception, no late failure.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    spec = _mutate(copy.deepcopy(_TINY[kind]), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        try:
+            loaded = (load_experiment_spec if kind == "experiment"
+                      else load_descent_config)(path)
+        except ConfigError:
+            return
+        if kind == "experiment":
+            write_outputs(run_experiment(loaded), os.path.join(tmp, "out"))
+        else:
+            config, problem = loaded
+            descend(config, problem.make(np.random.default_rng(config.seed)))

@@ -248,7 +248,7 @@ def test_parse_problem():
     assert isinstance(a, KnapsackOracle)
     assert not np.array_equal(a.weights, b.weights)
 
-    for bad in ("slice", "slice:x", "slice:0", "mystery:4", "table:"):
+    for bad in ("slice", "slice:x", "slice:0", "mystery:4", "table:", "table:/absent.csv"):
         with pytest.raises(ConfigError):
             parse_problem(bad)
 
