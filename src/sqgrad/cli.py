@@ -7,13 +7,15 @@ Carlo gradient moments, ``exact`` brute-forces the value and gradient,
 ``experiment`` runs a benchmark spec and writes its CSV and SVG.
 
 Exit codes: 0 success, 1 a requested validation failed, 2 usage error,
-3 runtime failure (bad config file, oracle trouble, and the like).
+3 runtime failure (bad config file, oracle trouble, an output that cannot
+be written, and the like).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -144,6 +146,8 @@ def _cmd_descend(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = load_experiment_spec(args.spec)
+    # Fail before the run, not after it, when the outputs have no home.
+    os.makedirs(args.out_dir, exist_ok=True)
     result = run_experiment(spec)
     csv_path, svg_path = write_outputs(result, args.out_dir)
     print(csv_path)
@@ -210,6 +214,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SqgradError as exc:
         print(f"sqgrad: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        where = exc.filename if exc.filename is not None else "I/O error"
+        print(f"sqgrad: {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError
 from .estimators import Estimator, make_estimator
-from .oracles import Oracle, ProblemSpec
+from .oracles import Oracle, ProblemSpec, _TrialOracles
 
 __all__ = [
     "Schedule",
@@ -173,6 +173,11 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     noise with one ``noise_from`` call; row by row this is the noise a
     lone ``draw_noise(rng, d)`` returns.
 
+    Each step evaluates every trial with one oracle query: the shared
+    oracle when all trials have it, else the trials' own instances
+    stacked into one ``_TrialOracles``, built here once, which answers
+    row block i with trial i's instance and counts it there.
+
     Every sample costs ``queries_per_sample`` oracle calls.  The counters
     of the distinct oracles are read before and after the loop, and a
     group whose oracles moved by anything else raises ``DomainError``;
@@ -189,13 +194,16 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     d = oracles[0].d
     if any(o.d != d for o in oracles):
         raise ConfigError("grouped oracles must share one dimension")
+    if all(o is oracles[0] for o in oracles):
+        oracle = oracles[0]
+    else:
+        oracle = _TrialOracles(oracles)
 
     m = len(configs)
     steps = int(head.steps)
     qps = est.queries_per_sample
     stride = int(head.snapshot_every or max(1, steps // 1000))
     sign = 1.0 if head.direction == "maximize" else -1.0
-    shared = all(o is oracles[0] for o in oracles)
 
     states, lo, hi = _initial_states(est, configs, d)
     rngs = [derive_rng(cfg.seed) for cfg in configs]
@@ -213,7 +221,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
         for rng, row in zip(rngs, rows):
             est.draw_noise(rng, d, draws=row)
         noise = est.noise_from(draws)
-        batch = est.evaluate(states, noise, oracles[0] if shared else oracles)
+        batch = est.evaluate(states, noise, oracle)
         states = np.minimum(np.maximum(states + sign * eta * batch.grads, lo), hi)
         if not np.isfinite(states).all():
             raise DomainError(

@@ -112,26 +112,11 @@ def _leave_one_out(factors: np.ndarray) -> np.ndarray:
     return pre * suf
 
 
-def _query_rows(keys: np.ndarray, oracles) -> np.ndarray:
-    """Oracle responses for (m, d) or (m, q, d) keys.
-
-    ``oracles`` is either one shared oracle (queried in a single batch)
-    or a sequence with one oracle per row.
-    """
+def _query_rows(keys: np.ndarray, oracle: Oracle) -> np.ndarray:
+    """Oracle responses for (m, d) or (m, q, d) keys, one batch call;
+    row i's q keys are the i-th block of the trial-major batch."""
     flat = keys.reshape(-1, keys.shape[-1])
-    per_row = flat.shape[0] // keys.shape[0]
-    if isinstance(oracles, Oracle):
-        out = oracles.query_batch(flat)
-    else:
-        if len(oracles) != keys.shape[0]:
-            raise DimensionMismatchError("need one oracle per state row")
-        out = np.concatenate(
-            [
-                oracle.query_batch(flat[i * per_row : (i + 1) * per_row])
-                for i, oracle in enumerate(oracles)
-            ]
-        )
-    return out.reshape(keys.shape[0], per_row)
+    return oracle.query_batch(flat).reshape(keys.shape[0], -1)
 
 
 class _UnitUniform:
@@ -246,11 +231,15 @@ class Estimator:
     def draw_noise_batch(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         return self.noise_law.sample(rng, (n, d))
 
-    def evaluate(self, states: np.ndarray, noise: np.ndarray, oracles) -> SampleBatch:
+    def evaluate(
+        self, states: np.ndarray, noise: np.ndarray, oracle: Oracle
+    ) -> SampleBatch:
         """Evaluate one realisation per state row at the given noise.
 
         ``states`` and ``noise`` are (m, d) float arrays and every state
-        lies in the estimator's domain; callers have checked that.
+        lies in the estimator's domain; callers have checked that.  All
+        rows query the one ``oracle`` in a single batch; a lockstep group
+        with per-trial instances passes them stacked, one block per row.
         """
         raise NotImplementedError
 
@@ -273,7 +262,7 @@ class Estimator:
         noise = np.asarray(noise, dtype=float)
         if noise.shape != x.shape:
             raise DimensionMismatchError("noise must have the same shape as the state")
-        batch = self.evaluate(x[None, :], noise[None, :], [oracle])
+        batch = self.evaluate(x[None, :], noise[None, :], oracle)
         return EstimatorSample(
             key=batch.keys[0],
             value=float(batch.values[0]),
@@ -331,13 +320,13 @@ class _ProductEstimator(Estimator):
         self.encoding = encoding
         self.provides_value = provides_value
 
-    def evaluate(self, states, noise, oracles):
+    def evaluate(self, states, noise, oracle):
         if states.strides[0] == 0:
             # Broadcast rows (sample_batch) share one state: map it once
             # and let the arithmetic broadcast it over the noise rows.
             states = states[:1]
         keys, w, numer, denom = self.coordinates(self, states, noise)
-        raw = _query_rows(keys, oracles)
+        raw = _query_rows(keys, oracle)
         q = raw[:, 0]
         if w is None:
             values, gweight = q, numer
@@ -404,9 +393,9 @@ class _PairedScoreEstimator(Estimator):
         self.spec = spec
         self.logit_grad = logit_grad
 
-    def evaluate(self, x, noise, oracles):
+    def evaluate(self, x, noise, oracle):
         keys = np.stack([noise > 1.0 - x, noise < x], axis=1)  # (m, 2, d), bool
-        raw = _query_rows(keys, oracles)
+        raw = _query_rows(keys, oracle)
         diff = (raw[:, 0] - raw[:, 1])[:, None]
         return SampleBatch(
             keys=keys,

@@ -53,6 +53,9 @@ ENV_MAX_WORKERS = "SQGRAD_MAX_WORKERS"
 
 CSV_HEADER = ("method", "oracle_calls", "median", "p25", "p75")
 
+# The longest file name most file systems take, in bytes.
+_NAME_MAX = 255
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -86,6 +89,12 @@ class ExperimentSpec:
         # The name becomes <out_dir>/<name>.csv and .svg.
         if not self.name or os.path.basename(self.name) != self.name or "\0" in self.name:
             raise ConfigError(f"name {self.name!r} must be a plain file name")
+        size = len((self.name + ".csv").encode("utf-8", "surrogatepass"))
+        if size > _NAME_MAX:
+            raise ConfigError(
+                f"name is too long: <name>.csv and <name>.svg take {size} bytes, "
+                f"more than the {_NAME_MAX} a file name may have"
+            )
         if int(self.budget) < 1:
             raise ConfigError("budget must be a positive call count")
         if int(self.n_trials) < 1:

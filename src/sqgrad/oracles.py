@@ -1,8 +1,15 @@
 """Set-function oracles over {0,1}^d with exact query accounting.
 
 Every oracle counts each evaluated vertex, atomically, whether queries
-arrive one at a time or in batches.  Estimator code never peeks inside
-an oracle; the counter is the ground truth for query budgets.
+arrive one at a time or in batches.  ``query_batch`` is the one counted
+entry point (``query`` is its one-row form); subclasses supply only
+``_values``, the answers at checked keys.  Estimator code never peeks
+inside an oracle; the counter is the ground truth for query budgets.
+
+A lockstep group whose trials each have their own instance queries
+them as one stack: row block i of a trial-major batch goes to member i,
+in one ``query_batch`` call that checks the keys once and credits each
+member's counter with its own rows.
 
 Keys are checked once, where they enter ``query``/``query_batch``.  The
 shape is checked for every dtype.  Bool keys are binary by type and are
@@ -52,16 +59,19 @@ class Oracle:
     def query(self, y) -> float:
         """Evaluate one vertex; increments the counter by exactly 1."""
         y = self._checked(np.asarray(y)[None, :])
-        with self._lock:
-            self._calls += 1
+        self._count(1)
         return float(self._values(y)[0])
 
     def query_batch(self, ys) -> np.ndarray:
         """Evaluate a (n, d) batch; increments the counter by n."""
         ys = self._checked(ys)
-        with self._lock:
-            self._calls += ys.shape[0]
+        self._count(ys.shape[0])
         return self._values(ys)
+
+    def _count(self, n: int) -> None:
+        """Credit n evaluated vertices to the counter."""
+        with self._lock:
+            self._calls += n
 
     def _checked(self, ys) -> np.ndarray:
         """Bool (n, d) keys: as given.  Any other dtype: scanned for 0/1
@@ -81,6 +91,13 @@ class Oracle:
     def _values(self, ys: np.ndarray) -> np.ndarray:
         """Values at checked (n, d) bool keys."""
         raise NotImplementedError
+
+    @classmethod
+    def _stacked_values(cls, members: list) -> Callable | None:
+        """A vectorised ``_values`` for a stack of instances of this
+        class: it maps (m, q, d) keys, block i for member i, to the
+        trial-major (m * q,) values.  None: query each member in turn."""
+        return None
 
     # ---------- accounting ----------
 
@@ -233,6 +250,61 @@ class KnapsackOracle(Oracle):
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         return self._by_weight[ys @ self.weights]
+
+    @classmethod
+    def _stacked_values(cls, members: list) -> Callable:
+        # One matmul packs every block with its member's weights; the
+        # value tables, zero-padded to one width, are looked up flat.
+        width = max(o._by_weight.size for o in members)
+        table = np.zeros((len(members), width))
+        for row, o in zip(table, members):
+            row[: o._by_weight.size] = o._by_weight
+        table = table.ravel()
+        weights = np.stack([o.weights for o in members])[:, :, None]
+        offsets = np.arange(0, table.size, width, dtype=np.int64)[:, None]
+
+        def values(keys: np.ndarray) -> np.ndarray:
+            packed = np.matmul(keys, weights)[:, :, 0]
+            return table.take(packed + offsets).ravel()
+
+        return values
+
+
+class _TrialOracles(Oracle):
+    """One oracle per row block: a lockstep group's per-trial instances.
+
+    Row block i of a trial-major (m * q, d) batch is answered by member
+    i, and member i's counter moves by q.  Queries go through the
+    inherited ``query_batch``, so the keys are checked once and the
+    batch is one call; the stack's own counter stays at zero, the
+    members hold the count.  The members must share one dimension.
+    """
+
+    def __init__(self, members: list):
+        super().__init__(members[0].d)
+        self.members = list(members)
+        kind = type(members[0])
+        same_kind = all(type(o) is kind for o in members)
+        self._stacked = kind._stacked_values(self.members) if same_kind else None
+
+    def _checked(self, ys) -> np.ndarray:
+        ys = super()._checked(ys)
+        if ys.shape[0] % len(self.members):
+            raise DimensionMismatchError(
+                f"{ys.shape[0]} keys do not split into {len(self.members)} equal blocks"
+            )
+        return ys
+
+    def _count(self, n: int) -> None:
+        per_member = n // len(self.members)
+        for o in self.members:
+            o._count(per_member)
+
+    def _values(self, ys: np.ndarray) -> np.ndarray:
+        blocks = ys.reshape(len(self.members), -1, self.d)
+        if self._stacked is not None:
+            return self._stacked(blocks)
+        return np.concatenate([o._values(b) for o, b in zip(self.members, blocks)])
 
 
 def make_knapsack(d: int, rng: np.random.Generator) -> KnapsackOracle:

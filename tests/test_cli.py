@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sqgrad import cli
 from sqgrad.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -141,3 +142,34 @@ def test_experiment_bad_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{]")
     assert main(["experiment", "--spec", str(path)]) == EXIT_RUNTIME
+
+
+def _no_run(spec):
+    pytest.fail("the experiment ran although its outputs cannot be written")
+
+
+def test_experiment_out_dir_that_is_a_file_fails_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": "cli_micro", "problem": "slice:4", "budget": 30, "n_trials": 2,
+        "methods": [{"estimator": "esg:arch", "eta": 0.1}]}))
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    rc = main(["experiment", "--spec", str(spec_path), "--out-dir", str(spec_path)])
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"sqgrad: {spec_path}: ")
+
+
+def test_experiment_name_too_long_for_a_file_is_rejected_at_load(
+    tmp_path, capsys, monkeypatch
+):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": "n" * 300, "problem": "slice:4", "budget": 30, "n_trials": 2,
+        "methods": [{"estimator": "esg:arch", "eta": 0.1}]}))
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    rc = main(["experiment", "--spec", str(spec_path), "--out-dir", str(tmp_path)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(f"sqgrad: {spec_path}: ") and "name is too long" in err

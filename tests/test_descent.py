@@ -301,3 +301,23 @@ def test_lockstep_group_matches_single_trial_runs(
         (solo,) = _run_group([replace(cfg, seed=traj.seed)], [oracle])
         for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
             assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "estimator", ["esg:arch", "esg:bigauss_cosine", "reinforce", "disarm"]
+)
+def test_lockstep_group_over_distinct_tables_matches_solo_runs(estimator):
+    # A table family is not randomized, so run_repeated shares one
+    # instance; a group handed distinct tables queries them as a stack.
+    m, steps, d = 3, 20, 4
+    rng = np.random.default_rng(8)
+    tables = [rng.normal(size=1 << d) for _ in range(m)]
+    cfgs = [_config(estimator=estimator, steps=steps, seed=s) for s in range(m)]
+    members = [TableOracle(t) for t in tables]
+    group = _run_group(cfgs, members)
+    qps = group[0].queries_per_sample
+    assert [o.call_count for o in members] == [steps * qps] * m
+    for cfg, table, traj in zip(cfgs, tables, group):
+        (solo,) = _run_group([cfg], [TableOracle(table)])
+        for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
+            assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name

@@ -8,6 +8,7 @@ from sqgrad.oracles import (
     KnapsackOracle,
     SymmetricSliceOracle,
     TableOracle,
+    _TrialOracles,
     make_knapsack,
     parse_problem,
 )
@@ -263,3 +264,45 @@ def test_parse_problem_table_clones_counters(tmp_path):
     a.query(np.array([1]))
     assert a.call_count == 1 and b.call_count == 0
     assert b.query(np.array([1])) == 5.0
+
+
+def _knapsack_members():
+    # Unequal weight totals, so all but the heaviest value table are padded.
+    rng = np.random.default_rng(4)
+    return [KnapsackOracle(np.full(6, 9)), KnapsackOracle(np.ones(6, dtype=int)),
+            make_knapsack(6, rng), make_knapsack(6, rng)]
+
+
+def _mixed_members():
+    rng = np.random.default_rng(5)
+    return [TableOracle(rng.normal(size=64)), TableOracle(rng.normal(size=64)),
+            make_knapsack(6, rng)]
+
+
+@pytest.mark.parametrize("members, vectorised", [
+    (_knapsack_members, True), (_mixed_members, False)])
+def test_trial_oracles_answer_each_block_with_its_member(members, vectorised):
+    members, q, d = members(), 5, 6
+    stack = _TrialOracles(members)
+    assert (stack._stacked is not None) == vectorised
+    rng = np.random.default_rng(6)
+    keys = rng.random((len(members), q, d)) < 0.5
+    keys[:, 0] = True  # each member's largest packed weight
+    keys[:, 1] = False
+    out = stack.query_batch(keys.reshape(-1, d))
+    assert [o.call_count for o in members] == [q] * len(members)
+    want = np.concatenate([o.query_batch(block) for o, block in zip(members, keys)])
+    assert out.tobytes() == want.tobytes()
+    # 0/1 float keys are checked once, on the whole batch.
+    again = stack.query_batch(keys.reshape(-1, d).astype(float))
+    assert again.tobytes() == want.tobytes()
+
+
+def test_trial_oracles_reject_uneven_blocks():
+    members = _knapsack_members()
+    stack = _TrialOracles(members)
+    with pytest.raises(DimensionMismatchError):
+        stack.query_batch(np.ones((len(members) + 1, 6), dtype=bool))
+    with pytest.raises(DimensionMismatchError):
+        stack.query(np.ones(6))
+    assert [o.call_count for o in members] == [0] * len(members)
