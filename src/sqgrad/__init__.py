@@ -60,7 +60,6 @@ from .harness import (
     emit_plot,
     load_descent_config,
     load_experiment_spec,
-    parse_csv,
     run_experiment,
     write_outputs,
 )
@@ -108,5 +107,5 @@ __all__ = [
     # harness
     "MethodSpec", "ExperimentSpec", "AggregateSeries", "ExperimentResult",
     "load_experiment_spec", "load_descent_config", "run_experiment", "aggregate",
-    "call_grid", "emit_csv", "parse_csv", "emit_plot", "write_outputs",
+    "call_grid", "emit_csv", "emit_plot", "write_outputs",
 ]

@@ -140,19 +140,17 @@ class Trajectory:
 
 
 def _initial_states(
-    est: Estimator, configs: list[DescentConfig], d: int
+    est: Estimator, config: DescentConfig, m: int, d: int
 ) -> tuple[np.ndarray, float, float]:
-    lo, hi = est.state_bounds(configs[0].clamp)
-    rows = []
-    for cfg in configs:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.ndim and x0.shape != (d,):
-            raise DimensionMismatchError(
-                f"x0 has shape {x0.shape} but the oracle has dimension {d}"
-            )
-        x0 = np.broadcast_to(x0, (d,)).astype(float)
-        rows.append(np.clip(est.encode(x0), lo, hi))
-    return np.array(rows), lo, hi
+    lo, hi = est.state_bounds(config.clamp)
+    x0 = np.asarray(config.x0, dtype=float)
+    if x0.ndim and x0.shape != (d,):
+        raise DimensionMismatchError(
+            f"x0 has shape {x0.shape} but the oracle has dimension {d}"
+        )
+    x0 = np.broadcast_to(x0, (d,)).astype(float)
+    # Tiled, not broadcast: evaluate reads stride-0 rows as one shared state.
+    return np.tile(np.clip(est.encode(x0), lo, hi), (m, 1)), lo, hi
 
 
 def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Trajectory]:
@@ -162,10 +160,11 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     consumes only its own derived stream, so the trajectories are
     identical to running the trials one at a time.
 
-    Inputs are checked here, once: the initial states, and the clamp
-    bounds, which keep every later state in the estimator's domain.  The
-    step loop then trusts them, apart from one finiteness check of the
-    states after each update.
+    Inputs are checked here, once: the initial state, encoded and
+    clamped once and tiled to every trial, and the clamp bounds, which
+    keep every later state in the estimator's domain.  The step loop
+    then trusts them, apart from one finiteness check of the states
+    after each update.
 
     Noise lives in one (noise_draws, m, d) buffer.  Each step fills
     trial i's row ``buffer[:, i]`` from that trial's generator, one
@@ -176,7 +175,10 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     Each step evaluates every trial with one oracle query: the shared
     oracle when all trials have it, else the trials' own instances
     stacked into one ``_TrialOracles``, built here once, which answers
-    row block i with trial i's instance and counts it there.
+    row block i with trial i's instance and counts it there.  A stack
+    of shipped oracles is one lookup in their value tables, joined end
+    to end once per group; an oracle class with its own ``_values`` is
+    asked block by block.
 
     Every sample costs ``queries_per_sample`` oracle calls.  The counters
     of the distinct oracles are read before and after the loop, and a
@@ -205,7 +207,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     stride = int(head.snapshot_every or max(1, steps // 1000))
     sign = 1.0 if head.direction == "maximize" else -1.0
 
-    states, lo, hi = _initial_states(est, configs, d)
+    states, lo, hi = _initial_states(est, head, m, d)
     rngs = [derive_rng(cfg.seed) for cfg in configs]
 
     raw = np.empty((m, steps * qps))

@@ -44,7 +44,6 @@ __all__ = [
     "aggregate",
     "call_grid",
     "emit_csv",
-    "parse_csv",
     "emit_plot",
     "write_outputs",
 ]
@@ -390,38 +389,6 @@ def emit_csv(series: list[AggregateSeries], path) -> None:
             )
 
 
-def parse_csv(path) -> list[AggregateSeries]:
-    """Read emit_csv output back; series come out sorted by label."""
-    by_label: dict[str, list[tuple[int, float, float, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}: {header}")
-        for row in reader:
-            if len(row) != 5:
-                raise ConfigError(f"malformed CSV row: {row}")
-            label, calls, med, p25, p75 = row
-            by_label.setdefault(label, []).append(
-                (int(calls), float(med), float(p25), float(p75))
-            )
-    out = []
-    for label in sorted(by_label):
-        entries = sorted(by_label[label])
-        arr = np.asarray(entries, dtype=float)
-        out.append(
-            AggregateSeries(
-                label=label,
-                estimator=label,
-                oracle_calls=arr[:, 0].astype(np.int64),
-                median=arr[:, 1],
-                p25=arr[:, 2],
-                p75=arr[:, 3],
-            )
-        )
-    return out
-
-
 # ---------- plotting ----------
 
 _PALETTE = (
@@ -439,7 +406,7 @@ _W, _H = 880.0, 560.0
 _ML, _MR, _MT, _MB = 72.0, 232.0, 40.0, 58.0
 
 
-def _is_single_query(estimator: str) -> bool:
+def _is_esg(estimator: str) -> bool:
     head = estimator.partition(":")[0]
     return head in ("esg", "encoded_esg")
 
@@ -456,7 +423,8 @@ def _path_data(xs: np.ndarray, ys: np.ndarray) -> str:
 def emit_plot(series: list[AggregateSeries], path, title: str | None = None) -> None:
     """Write a deterministic SVG of medians with interquartile bands.
 
-    Single-query gradient methods draw solid, everything else dashed.
+    The ESG methods (``esg``, ``encoded_esg``) draw solid, the
+    baselines dashed.
     Legend text is the series label verbatim.
     """
     if not series:
@@ -527,7 +495,7 @@ def emit_plot(series: list[AggregateSeries], path, title: str | None = None) -> 
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        solid = _is_single_query(s.estimator)
+        solid = _is_esg(s.estimator)
         px = sx(s.oracle_calls.astype(float))
         band_x = np.concatenate([px, px[::-1]])
         band_y = np.concatenate([sy(s.p75), sy(s.p25)[::-1]])
@@ -547,7 +515,7 @@ def emit_plot(series: list[AggregateSeries], path, title: str | None = None) -> 
     lx = _W - _MR + 18
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        solid = _is_single_query(s.estimator)
+        solid = _is_esg(s.estimator)
         ly = _MT + 16 + 24 * i
         seg = {"x1": _fmt(lx), "y1": _fmt(ly), "x2": _fmt(lx + 34), "y2": _fmt(ly),
                "stroke": color, "stroke-width": "2.2" if solid else "1.6"}

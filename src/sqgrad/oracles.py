@@ -6,19 +6,25 @@ entry point (``query`` is its one-row form); subclasses supply only
 ``_values``, the answers at checked keys.  Estimator code never peeks
 inside an oracle; the counter is the ground truth for query budgets.
 
+Every shipped objective is one lookup, ``_table[y @ _weights]``, with
+int64 weights: powers of two for ``TableOracle``, ones for
+``SymmetricSliceOracle`` (the hamming weight) and the item weights for
+``KnapsackOracle``.  Each table is built once, when the oracle is.
+
 A lockstep group whose trials each have their own instance queries
 them as one stack: row block i of a trial-major batch goes to member i,
 in one ``query_batch`` call that checks the keys once and credits each
-member's counter with its own rows.
+member's counter with its own rows.  A stack of lookups, of any mix of
+classes, is answered as one lookup in the members' tables laid end to
+end; a member with its own ``_values`` makes the stack ask each member
+in turn.
 
 Keys are checked once, where they enter ``query``/``query_batch``.  The
 shape is checked for every dtype.  Bool keys are binary by type and are
 trusted without a scan; this is what the estimators build.  Keys of any
 other dtype are converted to float and scanned for 0/1 entries.
 
-``TableOracle`` rejects a non-finite value when it is built.  The slice
-and knapsack objectives look their values up in a table of constants,
-built once and indexed by the key's weight.
+``TableOracle`` rejects a non-finite value when it is built.
 """
 
 from __future__ import annotations
@@ -92,13 +98,6 @@ class Oracle:
         """Values at checked (n, d) bool keys."""
         raise NotImplementedError
 
-    @classmethod
-    def _stacked_values(cls, members: list) -> Callable | None:
-        """A vectorised ``_values`` for a stack of instances of this
-        class: it maps (m, q, d) keys, block i for member i, to the
-        trial-major (m * q,) values.  None: query each member in turn."""
-        return None
-
     # ---------- accounting ----------
 
     @property
@@ -111,7 +110,16 @@ class Oracle:
             self._calls = 0
 
 
-class TableOracle(Oracle):
+class _Lookup(Oracle):
+    """An objective whose value at key y is ``_table[y @ _weights]``;
+    the constructor sets ``_weights`` (int64, shape (d,)) and the float
+    ``_table``."""
+
+    def _values(self, ys: np.ndarray) -> np.ndarray:
+        return self._table[ys @ self._weights]
+
+
+class TableOracle(_Lookup):
     """Dense table of 2^d values, indexed by the key's bit pattern.
 
     Key (y_1, ..., y_d) maps to the integer with y_1 as the most
@@ -132,19 +140,7 @@ class TableOracle(Oracle):
             )
         super().__init__(d)
         self._table = values
-        self._powers = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
-
-    @classmethod
-    def from_function(cls, d: int, fn: Callable) -> "TableOracle":
-        """Tabulate fn over all vertices (fn never sees the counter)."""
-        if not 1 <= int(d) <= 25:
-            raise DomainError("from_function supports 1 <= d <= 25")
-        d = int(d)
-        shifts = np.arange(d - 1, -1, -1, dtype=np.int64)
-        idx = np.arange(1 << d, dtype=np.int64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
-        values = np.array([float(fn(row)) for row in bits])
-        return cls(values)
+        self._weights = 1 << np.arange(d - 1, -1, -1, dtype=np.int64)
 
     @classmethod
     def from_csv(cls, path) -> "TableOracle":
@@ -184,11 +180,8 @@ class TableOracle(Oracle):
             values[int(bits, 2)] = val
         return cls(values)
 
-    def _values(self, ys: np.ndarray) -> np.ndarray:
-        return self._table[ys @ self._powers]
 
-
-class SymmetricSliceOracle(Oracle):
+class SymmetricSliceOracle(_Lookup):
     """Objective that depends on the key only through its hamming weight S.
 
     First matching branch wins:
@@ -214,13 +207,11 @@ class SymmetricSliceOracle(Oracle):
                 return -2.0
             return 0.0
 
-        self._by_weight = np.array([value(s) for s in range(self.d + 1)])
-
-    def _values(self, ys: np.ndarray) -> np.ndarray:
-        return self._by_weight[ys.sum(axis=1)]
+        self._table = np.array([value(s) for s in range(self.d + 1)])
+        self._weights = np.ones(self.d, dtype=np.int64)
 
 
-class KnapsackOracle(Oracle):
+class KnapsackOracle(_Lookup):
     """Reward for packing close to half the total weight.
 
     With weights w and target T = floor(sum(w) / 2), a key of packed
@@ -235,7 +226,7 @@ class KnapsackOracle(Oracle):
         if not np.all((weights == weights.astype(int)) & (weights >= 1)):
             raise DomainError("weights must be positive integers")
         super().__init__(weights.size)
-        self.weights = weights.astype(np.int64)
+        self.weights = self._weights = weights.astype(np.int64)
         total = int(self.weights.sum())
         self.target = t = total // 2
 
@@ -246,28 +237,7 @@ class KnapsackOracle(Oracle):
                 return -5.0
             return 0.0
 
-        self._by_weight = np.array([value(s) for s in range(total + 1)])
-
-    def _values(self, ys: np.ndarray) -> np.ndarray:
-        return self._by_weight[ys @ self.weights]
-
-    @classmethod
-    def _stacked_values(cls, members: list) -> Callable:
-        # One matmul packs every block with its member's weights; the
-        # value tables, zero-padded to one width, are looked up flat.
-        width = max(o._by_weight.size for o in members)
-        table = np.zeros((len(members), width))
-        for row, o in zip(table, members):
-            row[: o._by_weight.size] = o._by_weight
-        table = table.ravel()
-        weights = np.stack([o.weights for o in members])[:, :, None]
-        offsets = np.arange(0, table.size, width, dtype=np.int64)[:, None]
-
-        def values(keys: np.ndarray) -> np.ndarray:
-            packed = np.matmul(keys, weights)[:, :, 0]
-            return table.take(packed + offsets).ravel()
-
-        return values
+        self._table = np.array([value(s) for s in range(total + 1)])
 
 
 class _TrialOracles(Oracle):
@@ -278,14 +248,24 @@ class _TrialOracles(Oracle):
     inherited ``query_batch``, so the keys are checked once and the
     batch is one call; the stack's own counter stays at zero, the
     members hold the count.  The members must share one dimension.
+
+    When every member answers with the generic lookup, whatever its
+    class, the stack is one lookup too: block i is packed with member
+    i's weights in one ``matmul`` and offset into the members' tables,
+    laid end to end in one flat table, built here once; it holds the
+    sum of the members' table sizes.  Otherwise each member's
+    ``_values`` answers its own block.
     """
 
     def __init__(self, members: list):
         super().__init__(members[0].d)
         self.members = list(members)
-        kind = type(members[0])
-        same_kind = all(type(o) is kind for o in members)
-        self._stacked = kind._stacked_values(self.members) if same_kind else None
+        self._table = None
+        if all(type(o)._values is _Lookup._values for o in self.members):
+            sizes = np.array([o._table.size for o in self.members], dtype=np.int64)
+            self._table = np.concatenate([o._table for o in self.members])
+            self._weights = np.stack([o._weights for o in self.members])[:, :, None]
+            self._offsets = (np.cumsum(sizes) - sizes)[:, None]
 
     def _checked(self, ys) -> np.ndarray:
         ys = super()._checked(ys)
@@ -302,9 +282,10 @@ class _TrialOracles(Oracle):
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         blocks = ys.reshape(len(self.members), -1, self.d)
-        if self._stacked is not None:
-            return self._stacked(blocks)
-        return np.concatenate([o._values(b) for o, b in zip(self.members, blocks)])
+        if self._table is None:
+            return np.concatenate([o._values(b) for o, b in zip(self.members, blocks)])
+        packed = np.matmul(blocks, self._weights)[:, :, 0]
+        return self._table.take(packed + self._offsets).ravel()
 
 
 def make_knapsack(d: int, rng: np.random.Generator) -> KnapsackOracle:

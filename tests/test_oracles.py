@@ -2,10 +2,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgrad.errors import ConfigError, DimensionMismatchError, DomainError
 from sqgrad.oracles import (
     KnapsackOracle,
+    Oracle,
     SymmetricSliceOracle,
     TableOracle,
     _TrialOracles,
@@ -33,12 +36,6 @@ def test_table_oracle_validation():
         oracle.query(np.array([0.5]))
     with pytest.raises(DimensionMismatchError):
         oracle.query(np.array([0, 1]))
-
-
-def test_table_oracle_from_function():
-    oracle = TableOracle.from_function(3, lambda y: float(y.sum()))
-    assert oracle.query(np.array([1, 1, 0])) == 2.0
-    assert oracle.query(np.array([1, 1, 1])) == 3.0
 
 
 def test_table_oracle_csv_round_trip(tmp_path):
@@ -202,7 +199,7 @@ def test_slice_value_table_matches_formula(d):
     oracle = SymmetricSliceOracle(d)
     weights = np.arange(d + 1)
     expected = _slice_formula(d, weights)
-    assert oracle._by_weight.tobytes() == expected.tobytes()
+    assert oracle._table.tobytes() == expected.tobytes()
     keys = np.arange(d)[None, :] < weights[:, None]  # one key per weight
     assert oracle.query_batch(keys).tobytes() == expected.tobytes()
 
@@ -213,7 +210,7 @@ def test_knapsack_value_table_matches_formula(seed):
     oracle = make_knapsack(int(rng.integers(1, 30)), rng)
     weights = np.arange(int(oracle.weights.sum()) + 1)
     expected = _knapsack_formula(oracle.target, weights)
-    assert oracle._by_weight.tobytes() == expected.tobytes()
+    assert oracle._table.tobytes() == expected.tobytes()
     keys = rng.random((200, oracle.d)) < 0.5
     want = _knapsack_formula(oracle.target, keys @ oracle.weights)
     assert oracle.query_batch(keys).tobytes() == want.tobytes()
@@ -225,8 +222,6 @@ def test_table_oracle_rejects_non_finite_values(bad):
     values[5] = bad
     with pytest.raises(DomainError, match="101"):
         TableOracle(values)
-    with pytest.raises(DomainError, match="01"):
-        TableOracle.from_function(2, lambda y: bad if y[1] else 0.0)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -267,7 +262,7 @@ def test_parse_problem_table_clones_counters(tmp_path):
 
 
 def _knapsack_members():
-    # Unequal weight totals, so all but the heaviest value table are padded.
+    # Unequal weight totals, so the value tables differ in size.
     rng = np.random.default_rng(4)
     return [KnapsackOracle(np.full(6, 9)), KnapsackOracle(np.ones(6, dtype=int)),
             make_knapsack(6, rng), make_knapsack(6, rng)]
@@ -279,12 +274,24 @@ def _mixed_members():
             make_knapsack(6, rng)]
 
 
+class _ParityOracle(Oracle):
+    """Not a table lookup: answers the parity of the key's weight."""
+
+    def _values(self, ys):
+        return (ys.sum(axis=1) % 2).astype(float)
+
+
+def _custom_members():
+    rng = np.random.default_rng(7)
+    return [TableOracle(rng.normal(size=64)), _ParityOracle(6), make_knapsack(6, rng)]
+
+
 @pytest.mark.parametrize("members, vectorised", [
-    (_knapsack_members, True), (_mixed_members, False)])
+    (_knapsack_members, True), (_mixed_members, True), (_custom_members, False)])
 def test_trial_oracles_answer_each_block_with_its_member(members, vectorised):
     members, q, d = members(), 5, 6
     stack = _TrialOracles(members)
-    assert (stack._stacked is not None) == vectorised
+    assert (stack._table is not None) == vectorised
     rng = np.random.default_rng(6)
     keys = rng.random((len(members), q, d)) < 0.5
     keys[:, 0] = True  # each member's largest packed weight
@@ -296,6 +303,46 @@ def test_trial_oracles_answer_each_block_with_its_member(members, vectorised):
     # 0/1 float keys are checked once, on the whole batch.
     again = stack.query_batch(keys.reshape(-1, d).astype(float))
     assert again.tobytes() == want.tobytes()
+
+
+@st.composite
+def _shipped_stacks(draw):
+    """1-6 shipped oracles of one dimension in mixed classes, one of
+    them possibly repeated."""
+    d = draw(st.integers(1, 8))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["table", "slice", "knapsack"]))
+        if kind == "table":
+            seed = draw(st.integers(0, 2**32 - 1))
+            members.append(TableOracle(np.random.default_rng(seed).normal(size=1 << d)))
+        elif kind == "slice":
+            members.append(SymmetricSliceOracle(d))
+        else:
+            weights = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+            members.append(KnapsackOracle(weights))
+    if len(members) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(members) - 1), min_size=2,
+                             max_size=2, unique=True))
+        members[j] = members[i]
+    return d, members
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=_shipped_stacks(), q=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_shipped_oracles_are_one_lookup(stack, q, seed):
+    d, members = stack
+    blocks = np.random.default_rng(seed).random((len(members), q, d)) < 0.5
+    want = np.concatenate([o.query_batch(b) for o, b in zip(members, blocks)])
+    for o in members:
+        o.reset_calls()
+    trial = _TrialOracles(members)
+    assert trial._table is not None
+    out = trial.query_batch(blocks.reshape(-1, d))
+    assert out.tobytes() == want.tobytes()
+    for o in members:
+        assert o.call_count == q * sum(p is o for p in members)
+    assert trial.call_count == 0
 
 
 def test_trial_oracles_reject_uneven_blocks():
