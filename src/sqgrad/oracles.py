@@ -249,6 +249,12 @@ class _TrialOracles(Oracle):
     batch is one call; the stack's own counter stays at zero, the
     members hold the count.  The members must share one dimension.
 
+    The stack gives its members one lock, its own, when it is built: a
+    stacked query credits every member under that one lock, so each
+    member's counter stays exact at every read and all move together.
+    A member must belong to one stack in use at a time; the lockstep
+    groups build theirs from fresh per-group instances.
+
     When every member answers with the generic lookup, whatever its
     class, the stack is one lookup too: block i is packed with member
     i's weights in one ``matmul`` and offset into the members' tables,
@@ -260,6 +266,8 @@ class _TrialOracles(Oracle):
     def __init__(self, members: list):
         super().__init__(members[0].d)
         self.members = list(members)
+        for o in self.members:
+            o._lock = self._lock
         self._table = None
         if all(type(o)._values is _Lookup._values for o in self.members):
             sizes = np.array([o._table.size for o in self.members], dtype=np.int64)
@@ -277,8 +285,9 @@ class _TrialOracles(Oracle):
 
     def _count(self, n: int) -> None:
         per_member = n // len(self.members)
-        for o in self.members:
-            o._count(per_member)
+        with self._lock:
+            for o in self.members:
+                o._calls += per_member
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         blocks = ys.reshape(len(self.members), -1, self.d)

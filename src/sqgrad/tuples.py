@@ -31,7 +31,9 @@ longjump  max(0, 2z - 1)               atoms at -1 and +1    uniform cdf on [-1/
 The bi-Gaussian construction works because the mixture's characteristic
 function vanishes at frequency 1/2, which kills the oscillating part of
 the smoothed f; its encoding cdf has no closed form and is tabulated by
-quadrature at build time.
+quadrature once per process, on the first lookup of ``bigauss_cosine``.
+The build fills its 2049 x 1536 density matrix in row blocks, so it
+holds that one 25 MB matrix and little else.
 
 :func:`validate_tuple` and :func:`convolution_check` integrate with
 scipy's ``quad``, imported when they run; the rest of the module needs
@@ -225,6 +227,8 @@ def make_longjump() -> GoodTuple:
 _BIGAUSS_CENTER = math.pi
 _BIGAUSS_SCALE = 1.0
 _BIGAUSS_GRID_POINTS = 4097
+# Grid rows of the density matrix filled per block while it is tabulated.
+_BIGAUSS_BLOCK_ROWS = 64
 
 
 def _gauss_legendre_panels(lo: float, hi: float, n_panels: int, order: int):
@@ -252,6 +256,14 @@ def _bigauss_sigma_hat() -> TabulatedSymmetric:
     symmetric, which fills in z < 0).  The integrand is smooth, so a
     composite Gauss-Legendre rule resolves it to near machine
     precision.
+
+    The (2049, 1536) matrix of mixture densities at grid point + node
+    is allocated once and filled ``_BIGAUSS_BLOCK_ROWS`` rows at a time,
+    so only block-sized temporaries sit beside it.  The quadrature stays
+    one matrix-vector product over the whole matrix: one product per
+    block would leave each row's sum to how BLAS splits the rows.  Every
+    entry comes from the same elementwise operations as building the
+    matrix in one piece, so the table has the same bits.
     """
     m, s = _BIGAUSS_CENTER, _BIGAUSS_SCALE
     sigma = GaussianMixture(m, s)
@@ -261,7 +273,10 @@ def _bigauss_sigma_hat() -> TabulatedSymmetric:
     # Integration range: the mixture density is negligible past m + 12 s.
     w_nodes, w_weights = _gauss_legendre_panels(0.0, m + 12.0 * s, 64, 24)
     f_vals = 1.0 - np.cos(0.5 * w_nodes)
-    dens = sigma.density(z_pos[:, None] + w_nodes[None, :])
+    dens = np.empty((n_pos, w_nodes.size))
+    for i in range(0, n_pos, _BIGAUSS_BLOCK_ROWS):
+        block = slice(i, i + _BIGAUSS_BLOCK_ROWS)
+        dens[block] = sigma.density(z_pos[block, None] + w_nodes[None, :])
     b = dens @ (w_weights * f_vals)
     vals_pos = 1.0 - b
     grid = np.linspace(-half_span, half_span, _BIGAUSS_GRID_POINTS)

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -343,6 +344,57 @@ def test_stacked_shipped_oracles_are_one_lookup(stack, q, seed):
     for o in members:
         assert o.call_count == q * sum(p is o for p in members)
     assert trial.call_count == 0
+
+
+def test_stacked_counters_are_exact_at_every_read():
+    # Two threads make stacked queries and a third queries the last
+    # member alone, while a fourth reads the members' counters in member
+    # order.  One stacked query credits every member at once, so a read
+    # sees each counter at a whole number of queries, never ahead of a
+    # later member's, and never going back; no query is lost.
+    m, q, d, rounds = 20, 3, 6, 400
+    members = [make_knapsack(d, np.random.default_rng(i)) for i in range(m)]
+    stack = _TrialOracles(members)
+    assert all(o._lock is stack._lock for o in members)
+    keys = np.random.default_rng(0).random((m * q, d)) < 0.5
+    writing = threading.Event()
+    bad = []
+
+    def write():
+        for _ in range(rounds):
+            stack.query_batch(keys)
+
+    def write_last():
+        for _ in range(rounds):
+            members[-1].query_batch(keys[:q])
+
+    def read():
+        last = [0] * m
+        while writing.is_set():
+            counts = [o.call_count for o in members]
+            if (any(c % q for c in counts) or counts != sorted(counts)
+                    or any(c < b for c, b in zip(counts, last))):
+                bad.append(counts)
+            last = counts
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writing.set()
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=f) for f in (write, write, write_last)]
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join()
+        writing.clear()
+        reader.join()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not bad, bad[:3]
+    assert [o.call_count for o in members] == [2 * rounds * q] * (m - 1) + [3 * rounds * q]
+    assert stack.call_count == 0
 
 
 def test_trial_oracles_reject_uneven_blocks():

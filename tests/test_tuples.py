@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, wofz
 
-from sqgrad.distributions import TwoPoint, UniformInterval
+from sqgrad.distributions import (
+    GaussianMixture,
+    TabulatedSymmetric,
+    TwoPoint,
+    UniformInterval,
+)
 from sqgrad.errors import ConfigError, DomainError, NoDensityError
 from sqgrad.tuples import (
     TUPLE_NAMES,
     GoodTuple,
+    _bigauss_sigma_hat,
     convolution_check,
     get_tuple,
     register_tuple,
@@ -248,6 +255,53 @@ def test_bigauss_closed_form_self_check():
 
     for z in (-1.3, 0.4, 2.2):
         assert _bigauss_encoding_closed_form(z) == pytest.approx(by_quad(z), abs=1e-12)
+
+
+def _one_shot_bigauss_table():
+    """The bigauss encoding table with its density matrix built in one
+    piece: the same quadrature as the shipped build, without the row
+    blocks."""
+    m, s, n_grid = math.pi, 1.0, 4097
+    half_span = m + 8.0 * s
+    n_pos = n_grid // 2 + 1
+    z_pos = np.linspace(0.0, half_span, n_pos)
+    t, w = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(0.0, m + 12.0 * s, 65)
+    a, b = edges[:-1][:, None], edges[1:][:, None]
+    w_nodes = (0.5 * (b - a) * t[None, :] + 0.5 * (a + b)).ravel()
+    w_weights = (0.5 * (b - a) * w[None, :]).ravel()
+    f_vals = 1.0 - np.cos(0.5 * w_nodes)
+    dens = GaussianMixture(m, s).density(z_pos[:, None] + w_nodes[None, :])
+    vals_pos = 1.0 - dens @ (w_weights * f_vals)
+    vals = np.empty(n_grid)
+    vals[n_pos - 1 :] = vals_pos
+    vals[: n_pos - 1] = 1.0 - vals_pos[:0:-1]
+    return TabulatedSymmetric(np.linspace(-half_span, half_span, n_grid),
+                              np.clip(vals, 0.0, 1.0))
+
+
+def test_bigauss_table_matches_the_one_shot_build():
+    # The shipped build fills the density matrix in row blocks; every
+    # entry and the one product over it must keep the one-shot bits.
+    shipped = get_tuple("bigauss_cosine").sigma_hat
+    ref = _one_shot_bigauss_table()
+    for name in ("grid", "_values", "_cells"):
+        got, want = getattr(shipped, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_bigauss_table_build_memory():
+    # One (2049, 1536) float matrix is 25.2 MB and the row blocks add
+    # about 2.4 MB; building the matrix in one piece holds three such
+    # matrices at once.
+    tracemalloc.start()
+    try:
+        _bigauss_sigma_hat.__wrapped__()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 _NO_SCIPY_ON_IMPORT = """
