@@ -45,6 +45,13 @@ def _parse_point(text: str, d: int) -> np.ndarray:
     return vals
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_validate_tuple(args) -> int:
     names = list(TUPLE_NAMES) if args.name == "all" else [args.name]
     rng = np.random.default_rng(args.seed)
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(TUPLE_NAMES) + ["all"])
     p.add_argument("--method", choices=["quadrature", "monte_carlo"],
                    default="quadrature")
-    p.add_argument("--samples", type=int, default=100_000,
+    p.add_argument("--samples", type=_positive_int, default=100_000,
                    help="sample count for monte_carlo")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -177,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--x", required=True,
                    help="comma-separated probabilities; a single value broadcasts")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_estimate)
 
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descend", help="run descent from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="write trajectory JSON here")
     p.set_defaults(fn=_cmd_descend)
 

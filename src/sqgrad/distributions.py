@@ -39,8 +39,6 @@ PCHIP coefficients itself, with the formulas and the order of
 operations of scipy's ``PchipInterpolator``, and evaluates them as
 scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
 the cubic is summed in PPoly's order, so each value has scipy's bits.
-Only :meth:`GaussianMixture.cdf` imports scipy, for ``ndtr``, when
-first called.
 
 :meth:`TabulatedSymmetric.inv_cdf` bisects each quantile's PCHIP cell
 until the call's widest bracket is below ``INV_TOL``.  It replays most
@@ -80,6 +78,10 @@ __all__ = [
 
 def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(out) if scalar else out
+
+
+# Standard normal cdf; erfc keeps the lower tail's relative precision.
+_ndtr = np.vectorize(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), otypes=[float])
 
 
 def _bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200):
@@ -254,10 +256,8 @@ class GaussianMixture(SymmetricDistribution):
         return (-math.inf, math.inf)
 
     def _cdf(self, z):
-        from scipy.special import ndtr
-
         m, s = self.center, self.scale
-        return 0.5 * (ndtr((z - m) / s) + ndtr((z + m) / s))
+        return 0.5 * (_ndtr((z - m) / s) + _ndtr((z + m) / s))
 
     def _density(self, z):
         # (exp(-0.5 ((z - m) / s) ** 2) + exp(-0.5 ((z + m) / s) ** 2))

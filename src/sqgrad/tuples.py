@@ -35,9 +35,9 @@ quadrature once per process, on the first lookup of ``bigauss_cosine``.
 The build fills its 2049 x 1536 density matrix in row blocks, so it
 holds that one 25 MB matrix and little else.
 
-:func:`validate_tuple` and :func:`convolution_check` integrate with
-scipy's ``quad``, imported when they run; the rest of the module needs
-numpy only.
+Since sigma is symmetric, (f * sigma')(z) = E f(z + eps), so both
+checks compute E f(e + eps) by the same composite Gauss-Legendre rule
+as the bi-Gaussian table.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -375,22 +375,21 @@ def _density_bounds(sigma: SymmetricDistribution) -> tuple[float, float]:
     return lo, hi
 
 
-def _smoothed_f(tup: GoodTuple, e: float) -> float:
-    """E_{eps ~ sigma}[ f(e + eps) ] by adaptive quadrature."""
-    from scipy.integrate import quad
+# _smooth's rule: panels per piece of sigma's support, nodes per panel.
+_SMOOTH_PANELS = 8
+_SMOOTH_ORDER = 24
 
+
+def _smooth(tup: GoodTuple, e: float) -> float:
+    """E_{eps ~ sigma}[ f(e + eps) ], summed over the pieces of sigma's
+    support between the points k - e, k a kink of f."""
     lo, hi = _density_bounds(tup.sigma)
-    pts = sorted(k - e for k in tup.kinks if lo < k - e < hi)
-    val, _ = quad(
-        lambda u: tup.f(e + u) * tup.sigma.density(u),
-        lo,
-        hi,
-        points=pts or None,
-        limit=200,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return val
+    edges = [lo, *sorted(k - e for k in tup.kinks if lo < k - e < hi), hi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        u, w = _gauss_legendre_panels(a, b, _SMOOTH_PANELS, _SMOOTH_ORDER)
+        total += float(w @ (np.asarray(tup.f(e + u)) * tup.sigma.density(u)))
+    return total
 
 
 def validate_tuple(
@@ -403,16 +402,18 @@ def validate_tuple(
 ) -> ValidationReport:
     """Measure the calibration identity over a grid of probabilities.
 
-    ``method`` is ``"quadrature"`` (adaptive; an exact two-point
-    average when sigma is a two-point law) or ``"monte_carlo"`` (which
-    requires ``rng``).  Residuals of a calibrated tuple are limited by
-    the numerics of sigma_hat's inverse and of the integration.
+    ``method`` is ``"quadrature"`` (composite Gauss-Legendre; an exact
+    two-point average when sigma is a two-point law) or ``"monte_carlo"``
+    (which requires ``rng``).  Residuals of a calibrated tuple are limited
+    by the numerics of sigma_hat's inverse and of the integration.
     """
     if xs is None:
         xs = np.arange(1, 100) / 100.0
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise DomainError("calibration grid must lie strictly inside (0, 1)")
+    if int(n_samples) < 1:
+        raise DomainError("n_samples must be at least 1")
 
     es = np.atleast_1d(tup.sigma_hat.inv_cdf(xs))
     if method == "quadrature":
@@ -426,7 +427,7 @@ def validate_tuple(
                 "quadrature validation needs a density or a two-point law"
             )
         else:
-            expected = np.array([_smoothed_f(tup, float(e)) for e in es])
+            expected = np.array([_smooth(tup, float(e)) for e in es])
     elif method == "monte_carlo":
         if rng is None:
             raise DomainError("monte_carlo validation requires an rng")
@@ -448,13 +449,11 @@ def validate_tuple(
 
 
 def convolution_check(tup: GoodTuple, z_grid=None) -> ConvolutionReport:
-    """Compare (f * sigma')(z) against sigma_hat(z) pointwise.
+    """Compare (f * sigma')(z) = E f(z + eps) against sigma_hat(z) pointwise.
 
     Raises :class:`NoDensityError` when sigma has no density (the
     two-point law); use :func:`validate_tuple` there instead.
     """
-    from scipy.integrate import quad
-
     if not tup.sigma.has_density:
         raise NoDensityError("convolution check needs sigma to have a density")
     if z_grid is None:
@@ -465,19 +464,7 @@ def convolution_check(tup: GoodTuple, z_grid=None) -> ConvolutionReport:
         z_grid = np.linspace(lo, hi, 99)
     z_grid = np.asarray(z_grid, dtype=float)
 
-    lo_u, hi_u = _density_bounds(tup.sigma)
-    conv = np.empty(z_grid.size)
-    for i, z in enumerate(z_grid):
-        pts = sorted(z - k for k in tup.kinks if lo_u < z - k < hi_u)
-        conv[i], _ = quad(
-            lambda u: tup.f(z - u) * tup.sigma.density(u),
-            lo_u,
-            hi_u,
-            points=pts or None,
-            limit=200,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
+    conv = np.array([_smooth(tup, float(z)) for z in z_grid])
     residuals = np.abs(conv - np.asarray(tup.sigma_hat.cdf(z_grid)))
     return ConvolutionReport(
         name=tup.name,

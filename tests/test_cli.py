@@ -37,6 +37,13 @@ def test_validate_tuple_monte_carlo(capsys):
     assert "calibration[monte_carlo]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_validate_tuple_rejects_nonpositive_samples(samples, capsys):
+    assert main(["validate-tuple", "spike", "--method", "monte_carlo",
+                 "--samples", samples]) == EXIT_USAGE
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
 def test_estimate_json(capsys):
     rc = main(["estimate", "--estimator", "esg:longjump", "--problem", "slice:4",
                "--x", "0.5", "--samples", "4000", "--seed", "1"])
@@ -117,6 +124,15 @@ def test_descend_repeated(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["trials"] == 5 and len(out["best_per_trial"]) == 5
     assert out["oracle_calls_per_trial"] == 30
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_descend_rejects_nonpositive_trials(tmp_path, trials, capsys):
+    rc = main(["descend", "--config", str(_descent_config(tmp_path)),
+               "--trials", trials])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--trials: must be at least 1" in captured.err and captured.out == ""
 
 
 def test_descend_missing_config(capsys):

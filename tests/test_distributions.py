@@ -217,6 +217,17 @@ def test_gaussian_mixture_density_normalises():
     assert np.std(draws) == pytest.approx(math.sqrt(1.0 + math.pi**2), rel=0.02)
 
 
+@pytest.mark.parametrize("center, scale", [(math.pi, 1.0), (0.0, 0.5), (2.0, 3.0)])
+def test_gaussian_mixture_cdf_matches_ndtr(center, scale):
+    # The cdf is built on math.erfc; scipy's ndtr is the reference.
+    from scipy.special import ndtr
+
+    z = np.linspace(-15.0, 15.0, 3001)
+    want = 0.5 * (ndtr((z - center) / scale) + ndtr((z + center) / scale))
+    got = GaussianMixture(center, scale).cdf(z)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=4.5e-16)
+
+
 def test_parameter_validation():
     for bad in (0.0, -1.0):
         with pytest.raises(DomainError):

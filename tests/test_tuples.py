@@ -21,6 +21,8 @@ from sqgrad.tuples import (
     TUPLE_NAMES,
     GoodTuple,
     _bigauss_sigma_hat,
+    _density_bounds,
+    _smooth,
     convolution_check,
     get_tuple,
     register_tuple,
@@ -136,6 +138,24 @@ def test_convolution_identity(name):
     assert rep.max_residual < tol, f"{name}: {rep.max_residual}"
 
 
+@pytest.mark.parametrize("name", DENSITY_TUPLES)
+def test_smooth_matches_adaptive_quadrature(name):
+    # Reference: scipy's adaptive quad on the same integrand, with the
+    # breakpoints and tolerances the checks used before, at the points
+    # validate_tuple and convolution_check evaluate by default.
+    tup = get_tuple(name)
+    es = tup.sigma_hat.inv_cdf(validate_tuple(tup).xs)
+    zs = convolution_check(tup).z_grid
+    lo, hi = _density_bounds(tup.sigma)
+    for e in np.concatenate([es, zs]).tolist():
+        pts = sorted(k - e for k in tup.kinks if lo < k - e < hi)
+        want, _ = quad(
+            lambda u: tup.f(e + u) * tup.sigma.density(u), lo, hi,
+            points=pts or None, limit=200, epsabs=1e-12, epsrel=1e-10,
+        )
+        assert abs(_smooth(tup, e) - want) <= 1e-12, (name, e)
+
+
 def test_convolution_rejects_atomic_noise():
     with pytest.raises(NoDensityError):
         convolution_check(get_tuple("longjump"))
@@ -159,6 +179,10 @@ def test_validate_tuple_argument_errors():
         validate_tuple(tup, method="guesswork")
     with pytest.raises(DomainError):
         validate_tuple(tup, method="monte_carlo", rng=None)
+    for n in (0, -5):
+        with pytest.raises(DomainError, match="n_samples"):
+            validate_tuple(tup, method="monte_carlo", n_samples=n,
+                           rng=np.random.default_rng(0))
 
 
 def test_encoding_laws_match_families():
@@ -304,39 +328,58 @@ def test_bigauss_table_build_memory():
     assert peak < 32e6, peak
 
 
-_NO_SCIPY_ON_IMPORT = """
-import math, sys
-import numpy as np
-import sqgrad, sqgrad.cli, sqgrad.harness
-from sqgrad import (
-    DescentConfig, GaussianMixture, Schedule, TUPLE_NAMES, TableOracle,
-    estimate_mean_and_variance, get_tuple, parse_problem, run_repeated,
-    validate_tuple,
-)
+_SCIPY_BLOCKED = """
+import importlib.abc, json, math, os, sys
 
-for name in TUPLE_NAMES:
-    get_tuple(name)
-config = DescentConfig("esg:bigauss_cosine", 20, Schedule("constant", 0.05))
-run_repeated(config, parse_problem("knapsack:8"), 2, 3)
-oracle = TableOracle(np.arange(8.0))
-estimate_mean_and_variance("esg:bigauss_cosine", np.full(3, 0.4), oracle, 500,
-                           np.random.default_rng(0))
-loaded = sorted(key for key in sys.modules if key.startswith("scipy"))
-assert not loaded, loaded
+blocked = []
 
-# The functions that need scipy load it when they are called.
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+
+from sqgrad import GaussianMixture
+from sqgrad.cli import main
+
+tmp = sys.argv[1]
+descend = os.path.join(tmp, "descend.json")
+with open(descend, "w") as fh:
+    json.dump({"problem": "knapsack:6", "estimator": "esg:bigauss_cosine",
+               "steps": 20, "eta": 0.1, "direction": "maximize"}, fh)
+spec = os.path.join(tmp, "tiny.json")
+with open(spec, "w") as fh:
+    json.dump({"name": "tiny", "problem": "slice:4", "budget": 40, "n_trials": 2,
+               "methods": [{"estimator": "esg:bigauss_cosine", "eta": 0.1},
+                           {"estimator": "disarm", "eta": 0.1}]}, fh)
+runs = [
+    ["validate-tuple", "all"],
+    ["exact", "--problem", "slice:6", "--x", "0.3", "--grad", "--fd", "1e-5"],
+    ["estimate", "--estimator", "esg:bigauss_cosine", "--problem", "slice:6",
+     "--x", "0.3", "--samples", "2000"],
+    ["estimate", "--estimator", "disarm", "--problem", "slice:6",
+     "--x", "0.3", "--samples", "2000"],
+    ["descend", "--config", descend],
+    ["descend", "--config", descend, "--trials", "2"],
+    ["experiment", "--spec", spec, "--out-dir", os.path.join(tmp, "out")],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
 assert 0.5 < GaussianMixture(math.pi, 1.0).cdf(0.3) < 1.0
-assert validate_tuple(get_tuple("spike")).max_residual < 1e-9
+assert not blocked, blocked
 print("ok")
 """
 
 
-def test_import_and_descent_load_no_scipy():
+def test_cli_runs_with_scipy_blocked(tmp_path):
     # A fresh interpreter: this one has imported scipy for the tests.
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "SQGRAD_MAX_WORKERS": "1", "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_ON_IMPORT], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+    assert done.stdout.splitlines()[-1] == "ok"
