@@ -48,6 +48,8 @@ checks rely on.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,42 @@ __all__ = [
     "make_estimator",
     "estimate_mean_and_variance",
 ]
+
+ENV_MAX_WORKERS = "SQGRAD_MAX_WORKERS"
+
+#: Entries (rows x d) per block of a ``sample_batch`` call.  Blocks
+#: bound the kernel's temporaries and are what the threads share out.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _worker_cap() -> int:
+    """Workers for experiment processes and estimate threads: the
+    ``SQGRAD_MAX_WORKERS`` environment variable, else the CPUs this
+    process may run on."""
+    raw = os.environ.get(ENV_MAX_WORKERS, "").strip()
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{ENV_MAX_WORKERS} must be an integer") from exc
+        if cap < 1:
+            raise ConfigError(f"{ENV_MAX_WORKERS} must be at least 1")
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _positive_count(name: str, value) -> int:
+    """``value`` as an int; a DomainError naming it unless it is an
+    integer of at least 1."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 1:
+        raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -117,6 +155,19 @@ def _query_rows(keys: np.ndarray, oracle: Oracle) -> np.ndarray:
     row i's q keys are the i-th block of the trial-major batch."""
     flat = keys.reshape(-1, keys.shape[-1])
     return oracle.query_batch(flat).reshape(keys.shape[0], -1)
+
+
+class _OneAtATime:
+    """An oracle that the blocks of one ``sample_batch`` call query one
+    at a time, since a user ``Oracle`` need not be thread-safe."""
+
+    def __init__(self, oracle: Oracle):
+        self._oracle = oracle
+        self._lock = threading.Lock()
+
+    def query_batch(self, ys) -> np.ndarray:
+        with self._lock:
+            return self._oracle.query_batch(ys)
 
 
 class _UnitUniform:
@@ -245,6 +296,10 @@ class Estimator:
 
     # ---------- sampling ----------
 
+    def _share_state(self, x: np.ndarray) -> None:
+        """Map the (1, d) state that all row blocks of one ``sample_batch``
+        call share, once, before they run; ``evaluate`` then reuses it."""
+
     def _checked_point(self, x, oracle: Oracle) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
@@ -278,13 +333,51 @@ class Estimator:
     def sample_batch(
         self, x, oracle: Oracle, rng: np.random.Generator, n: int
     ) -> SampleBatch:
-        """n independent realisations at a fixed state, vectorised."""
+        """n independent realisations at a fixed state, vectorised.
+
+        The noise of all n rows is drawn first, from ``rng`` in this
+        thread.  ``evaluate`` then runs on row blocks of about
+        ``_BLOCK_ENTRIES`` entries each; with several blocks they run on
+        up to ``SQGRAD_MAX_WORKERS`` threads that end with this call,
+        querying ``oracle`` one block at a time.  The kernel is row-wise,
+        so the result has the bits of one ``evaluate`` over all rows,
+        whatever the worker count.
+        """
         x = self._checked_point(x, oracle)
-        if int(n) < 1:
-            raise DomainError("n must be at least 1")
-        states = np.broadcast_to(x, (int(n), x.shape[0]))
-        noise = self.draw_noise_batch(rng, int(n), x.shape[0])
-        return self.evaluate(states, noise, oracle)
+        n = _positive_count("n", n)
+        d = x.shape[0]
+        states = np.broadcast_to(x, (n, d))
+        noise = self.draw_noise_batch(rng, n, d)
+        n_blocks = -(-n * d // _BLOCK_ENTRIES)
+        size = -(-n // n_blocks)
+        blocks = [slice(i, i + size) for i in range(0, n, size)]
+        self._share_state(states[:1])
+        guarded = _OneAtATime(oracle)
+
+        def run(block: slice) -> SampleBatch:
+            return self.evaluate(states[block], noise[block], guarded)
+
+        workers = min(_worker_cap(), len(blocks))
+        # Imported here, so that processes which never start the pool,
+        # such as experiment runs, do not load its module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        try:
+            parts = pool.map(run, blocks) if pool else map(run, blocks)
+            out, queries = None, 0
+            for block, part in zip(blocks, parts):
+                fields = (part.keys, part.values, part.grads, part.raw)
+                if out is None:
+                    out = [np.empty((n,) + a.shape[1:], a.dtype) for a in fields]
+                for whole, a in zip(out, fields):
+                    whole[block] = a
+                queries += part.queries
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+        keys, values, grads, raw = out
+        return SampleBatch(keys=keys, values=values, grads=grads, raw=raw, queries=queries)
 
 
 class _ProductEstimator(Estimator):
@@ -319,6 +412,15 @@ class _ProductEstimator(Estimator):
         self.tup = tup
         self.encoding = encoding
         self.provides_value = provides_value
+        #: (state bytes, (e, density)) of the state ``_share_state`` mapped.
+        self._shared_row = None
+
+    def _share_state(self, x):
+        # esg on probabilities maps its state through sigma_hat^{-1}: do
+        # it here, once a call, rather than in every row block.
+        self._shared_row = None
+        if self.tup is not None and not self.encoded:
+            self._shared_row = (x.tobytes(), _esg_encoded(self, x))
 
     def evaluate(self, states, noise, oracle):
         if states.strides[0] == 0:
@@ -346,19 +448,30 @@ class _ProductEstimator(Estimator):
         )
 
 
+def _esg_encoded(est: _ProductEstimator, state):
+    """e = sigma_hat^{-1}(x) and sigma_hat'(e) at probability states;
+    a one-row state that ``_share_state`` mapped is not mapped again."""
+    shared = est._shared_row
+    if shared is not None and state.shape[0] == 1 and shared[0] == state.tobytes():
+        return shared[1]
+    tup = est.tup
+    e = np.asarray(tup.sigma_hat.inv_cdf(state))
+    dens = np.asarray(tup.sigma_hat.density(e))
+    # The gradient weight divides by the density; a tabulated or
+    # flat encoding can make it vanish even at a valid state.
+    if np.any(dens <= 0.0):
+        raise TupleError(
+            f"{tup.name}: encoding density vanishes at the requested point"
+        )
+    return e, dens
+
+
 def _esg_coordinates(est: _ProductEstimator, state, eps):
     tup = est.tup
     if est.encoded:
         e, dens = state, None
     else:
-        e = np.asarray(tup.sigma_hat.inv_cdf(state))
-        dens = np.asarray(tup.sigma_hat.density(e))
-        # The gradient weight divides by the density; a tabulated or
-        # flat encoding can make it vanish even at a valid state.
-        if np.any(dens <= 0.0):
-            raise TupleError(
-                f"{tup.name}: encoding density vanishes at the requested point"
-            )
+        e, dens = _esg_encoded(est, state)
     z = e + eps
     az = np.abs(z)
     w = np.asarray(tup.f(az))
@@ -479,7 +592,9 @@ class _RunningMoments:
     def update(self, block: np.ndarray) -> None:
         m = block.shape[0]
         b_mean = block.mean(axis=0)
-        b_m2 = ((block - b_mean) ** 2).sum(axis=0)
+        dev = block - b_mean
+        np.square(dev, out=dev)
+        b_m2 = dev.sum(axis=0)
         if self.n == 0:
             self.n, self.mean, self.m2 = m, b_mean, b_m2
             return
@@ -509,12 +624,15 @@ def estimate_mean_and_variance(
     ``x`` is always a probability vector; the encoded estimator is
     evaluated at e = encode(x) and its summary describes the
     encoded-space gradient.  Accumulation is a numerically stable
-    single pass over vectorised chunks.
+    single pass over chunks of ``chunk_size`` samples, each one
+    ``sample_batch`` call: its noise is drawn whole and its row blocks
+    may run on threads, and the chunks merge in order, so every bit of
+    the summary is the same at any ``SQGRAD_MAX_WORKERS``.
     """
     if isinstance(estimator, str):
         estimator = make_estimator(estimator)
-    if int(n_samples) < 1:
-        raise DomainError("n_samples must be at least 1")
+    n_samples = _positive_count("n_samples", n_samples)
+    chunk_size = _positive_count("chunk_size", chunk_size)
     x = np.asarray(x, dtype=float)
     state = estimator.encode(x)
 
@@ -522,9 +640,9 @@ def estimate_mean_and_variance(
     grad_stats = _RunningMoments(d)
     value_stats = _RunningMoments(())
     queries = 0
-    remaining = int(n_samples)
+    remaining = n_samples
     while remaining > 0:
-        m = min(remaining, int(chunk_size))
+        m = min(remaining, chunk_size)
         batch = estimator.sample_batch(state, oracle, rng, m)
         grad_stats.update(batch.grads)
         if estimator.provides_value:

@@ -13,8 +13,8 @@ a rerun of the same spec reproduces both files byte for byte.
 
 Method groups can run in parallel worker processes; the cap comes from
 the ``SQGRAD_MAX_WORKERS`` environment variable and defaults to the
-CPU count.  Seeds are derived per (method, trial), so the schedule of
-workers cannot change any result.
+number of CPUs this process may run on.  Seeds are derived per
+(method, trial), so the schedule of workers cannot change any result.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
 from .errors import ConfigError, EmptyInputError, SqgradError
-from .estimators import make_estimator
+from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "emit_plot",
     "write_outputs",
 ]
-
-ENV_MAX_WORKERS = "SQGRAD_MAX_WORKERS"
 
 CSV_HEADER = ("method", "oracle_calls", "median", "p25", "p75")
 
@@ -327,19 +325,6 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     ]
     keys = [(spec.base_seed, 1, trial) for trial in range(n)]
     return _run_group(configs, _trial_oracles(parse_problem(spec.problem), keys))
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get(ENV_MAX_WORKERS, "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_MAX_WORKERS} must be an integer") from exc
-        if cap < 1:
-            raise ConfigError(f"{ENV_MAX_WORKERS} must be at least 1")
-        return cap
-    return os.cpu_count() or 1
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:

@@ -1,8 +1,16 @@
 import math
+import os
+import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sqgrad import estimators
 from sqgrad.distributions import UniformInterval
 from sqgrad.errors import (
     ConfigError,
@@ -11,9 +19,16 @@ from sqgrad.errors import (
     EncodingError,
     TupleError,
 )
-from sqgrad.estimators import _leave_one_out, estimate_mean_and_variance, make_estimator
+from sqgrad.estimators import (
+    _BLOCK_ENTRIES,
+    ENV_MAX_WORKERS,
+    _leave_one_out,
+    _RunningMoments,
+    estimate_mean_and_variance,
+    make_estimator,
+)
 from sqgrad.exact import multilinear_gradient, multilinear_value
-from sqgrad.oracles import TableOracle
+from sqgrad.oracles import Oracle, TableOracle
 from sqgrad.tuples import GoodTuple, get_tuple, register_tuple
 
 ALL_SPECS = [
@@ -410,3 +425,166 @@ def test_product_kernel_matches_the_per_method_formulas(spec):
     noise = est.draw_noise_batch(np.random.default_rng(5), 50, d)
     states = np.broadcast_to(x, (50, d))
     _assert_same_batch(batch, _reference_batch(est, states, noise, oracle), spec)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("chunk_size", 0), ("chunk_size", -3), ("chunk_size", 2.5),
+    ("n_samples", 0), ("n_samples", 2.5), ("n_samples", "7"),
+])
+def test_estimate_rejects_counts_that_are_not_positive_integers(name, bad):
+    oracle = TableOracle(np.arange(4.0))
+    kwargs = {"n_samples": 10, "chunk_size": 4, name: bad}
+    with pytest.raises(DomainError, match=name):
+        estimate_mean_and_variance(
+            "esg:arch", np.array([0.3, 0.6]), oracle, rng=np.random.default_rng(0), **kwargs
+        )
+    assert oracle.call_count == 0
+
+
+def _old_update(moments, block):
+    """``_RunningMoments.update`` with its former squared-deviation sum."""
+    m = block.shape[0]
+    b_mean = block.mean(axis=0)
+    b_m2 = ((block - b_mean) ** 2).sum(axis=0)
+    if moments.n == 0:
+        moments.n, moments.mean, moments.m2 = m, b_mean, b_m2
+        return
+    total = moments.n + m
+    delta = b_mean - moments.mean
+    moments.mean = moments.mean + delta * (m / total)
+    moments.m2 = moments.m2 + b_m2 + delta**2 * (moments.n * m / total)
+    moments.n = total
+
+
+@pytest.mark.parametrize("shape", [(), (7,)])
+def test_running_moments_keep_the_former_bits(shape):
+    rng = np.random.default_rng(3)
+    chunks = [rng.normal(2.0, 3.0, size=(m,) + shape) for m in (1000, 333)]
+    new, old = _RunningMoments(shape), _RunningMoments(shape)
+    for chunk in chunks:
+        new.update(chunk)
+        _old_update(old, chunk)
+        assert new.n == old.n
+        assert np.asarray(new.mean).tobytes() == np.asarray(old.mean).tobytes()
+        assert np.asarray(new.m2).tobytes() == np.asarray(old.m2).tobytes()
+
+
+@contextmanager
+def _max_workers(n: int):
+    saved = os.environ.get(ENV_MAX_WORKERS)
+    os.environ[ENV_MAX_WORKERS] = str(n)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(ENV_MAX_WORKERS, None)
+        else:
+            os.environ[ENV_MAX_WORKERS] = saved
+
+
+_MAKE = {spec: make_estimator(spec) for spec in ALL_SPECS}
+
+
+@st.composite
+def _wide_runs(draw):
+    spec = draw(st.sampled_from(ALL_SPECS))
+    d = draw(st.integers(1, 12))
+    per_block = _BLOCK_ENTRIES // d
+    # Below one block, exactly one full block, or an odd block count.
+    blocks = draw(st.sampled_from([0, 1, 3, 5]))
+    if blocks == 0:
+        n = draw(st.integers(1, per_block - 1))
+    elif blocks == 1:
+        n = per_block
+    else:
+        n = draw(st.integers((blocks - 1) * _BLOCK_ENTRIES // d + 1, blocks * _BLOCK_ENTRIES // d))
+    chunk = draw(st.sampled_from([n, -(-n // 2), -(-n // 3)]))
+    workers = draw(st.sampled_from([2, 3]))
+    return spec, d, n, chunk, workers, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_wide_runs())
+def test_estimates_have_the_same_bits_at_every_worker_count(run):
+    spec, d, n, chunk, workers, seed = run
+    est = _MAKE[spec]
+    table = np.random.default_rng(seed).uniform(-5.0, 5.0, size=1 << d)
+    x = np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=d)
+    state = est.encode(x)
+
+    def summary_and_calls():
+        oracle = TableOracle(table)
+        s = estimate_mean_and_variance(
+            est, x, oracle, n, np.random.default_rng(seed), chunk_size=chunk)
+        fields = [np.asarray(v).tobytes() for v in vars(s).values()]
+        return fields, oracle.call_count
+
+    with _max_workers(1):
+        serial = summary_and_calls()
+    with _max_workers(workers):
+        assert summary_and_calls() == serial
+        batch = est.sample_batch(state, TableOracle(table), np.random.default_rng(seed), n)
+    noise = est.draw_noise_batch(np.random.default_rng(seed), n, d)
+    whole = est.evaluate(np.broadcast_to(state, (n, d)), noise, TableOracle(table))
+    for got, want in ((batch.keys, whole.keys), (batch.values, whole.values),
+                      (batch.grads, whole.grads), (batch.raw, whole.raw)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert batch.queries == whole.queries == n * est.queries_per_sample
+
+
+class _OneCallerOracle(Oracle):
+    """Table values that fail if two threads are inside ``_values`` at once."""
+
+    def __init__(self, table):
+        self._inner = TableOracle(table)
+        super().__init__(self._inner.d)
+        self._inside = 0
+        self._guard = threading.Lock()
+
+    def _values(self, ys):
+        with self._guard:
+            self._inside += 1
+            crowded = self._inside > 1
+        try:
+            if crowded:
+                raise RuntimeError("two threads queried the oracle at once")
+            time.sleep(0.002)
+            return self._inner._values(ys)
+        finally:
+            with self._guard:
+                self._inside -= 1
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("spec", ["esg:arch", "disarm"])
+def test_blocks_query_a_user_oracle_one_at_a_time(spec, workers, monkeypatch):
+    monkeypatch.setenv(ENV_MAX_WORKERS, str(workers))
+    d = 8
+    oracle = _OneCallerOracle(np.random.default_rng(4).normal(size=1 << d))
+    n = 9 * (_BLOCK_ENTRIES // d) + 17
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        s = estimate_mean_and_variance(
+            spec, np.full(d, 0.4), oracle, n, np.random.default_rng(6))
+    finally:
+        sys.setswitchinterval(interval)
+    qps = make_estimator(spec).queries_per_sample
+    assert s.queries == oracle.call_count == n * qps
+
+
+@pytest.mark.parametrize("spec", ["esg:cosine", "esg:bigauss_cosine"])
+def test_a_sample_batch_maps_its_state_once_at_any_worker_count(spec, monkeypatch):
+    est = make_estimator(spec)
+    law = type(est.tup.sigma_hat)
+    calls = []
+    inv_cdf = law.inv_cdf
+    monkeypatch.setattr(law, "inv_cdf", lambda self, x: calls.append(1) or inv_cdf(self, x))
+    oracle = TableOracle(np.arange(16.0))
+    n = 5 * (_BLOCK_ENTRIES // 4)
+    for workers in (1, 2, 3, 1):
+        monkeypatch.setenv(ENV_MAX_WORKERS, str(workers))
+        calls.clear()
+        est.sample_batch(np.full(4, 0.3), oracle, np.random.default_rng(0), n)
+        assert len(calls) == 1, workers

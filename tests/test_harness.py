@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import json
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sqgrad import estimators, harness
 from sqgrad.cli import EXIT_RUNTIME, main
 from sqgrad.descent import Trajectory, descend
 from sqgrad.errors import ConfigError, EmptyInputError
+from sqgrad.estimators import ENV_MAX_WORKERS
 from sqgrad.harness import (
-    ENV_MAX_WORKERS,
     AggregateSeries,
     ExperimentSpec,
     MethodSpec,
@@ -30,6 +32,7 @@ from sqgrad.harness import (
     run_experiment,
     write_outputs,
 )
+from sqgrad.oracles import TableOracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -282,6 +285,42 @@ def test_worker_cap_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_MAX_WORKERS, "0")
     with pytest.raises(ConfigError):
         run_experiment(spec)
+
+
+class _NoPool:
+    """Stands in for a pool class and records the worker counts asked of it."""
+
+    def __init__(self, asked):
+        self.asked = asked
+
+    def __call__(self, max_workers=None, **kwargs):
+        self.asked.append(max_workers)
+        raise AssertionError("no pool should start")
+
+
+def test_default_worker_count_honours_cpu_affinity(tmp_path, monkeypatch):
+    # A process pinned to one CPU runs the experiment and the estimate
+    # serially, whatever the host's CPU count.
+    monkeypatch.delenv(ENV_MAX_WORKERS, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    asked = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _NoPool(asked))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _NoPool(asked))
+    run_experiment(load_experiment_spec(_write_spec(tmp_path)))
+    table = TableOracle(np.arange(1 << 10, dtype=float))
+    n = 5 * (estimators._BLOCK_ENTRIES // 10)  # five blocks
+    s = estimators.estimate_mean_and_variance(
+        "esg:arch", np.full(10, 0.4), table, n, np.random.default_rng(0))
+    assert s.queries == n and asked == []
+    # Pinned to two CPUs, the same calls ask for two workers each.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    with pytest.raises(AssertionError, match="no pool"):
+        estimators.estimate_mean_and_variance(
+            "esg:arch", np.full(10, 0.4), table, n, np.random.default_rng(0))
+    with pytest.raises(AssertionError, match="no pool"):
+        run_experiment(load_experiment_spec(_write_spec(tmp_path)))
+    assert asked == [2, 2]
 
 
 def test_budget_must_fund_one_step(tmp_path, monkeypatch):
