@@ -9,12 +9,17 @@ Carlo gradient moments, ``exact`` brute-forces the value and gradient,
 Exit codes: 0 success, 1 a requested validation failed, 2 usage error,
 3 runtime failure (bad config file, oracle trouble, an output that cannot
 be written, and the like).
+
+JSON output is strict: a NaN, such as a standard error from one sample
+or the value of an estimator that has none, is written as ``null``, and
+an infinity is a runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,6 +48,25 @@ def _parse_point(text: str, d: int) -> np.ndarray:
     if vals.shape[0] == 1:
         return np.full(d, vals[0])
     return vals
+
+
+def _nan_to_null(value):
+    """``value`` with every NaN float, in lists and dicts too, as None."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def _dump_json(obj, fh) -> None:
+    """Indented JSON with every NaN as null.  An infinity, which JSON
+    cannot hold, is a runtime error, and nothing is written."""
+    try:
+        text = json.dumps(_nan_to_null(obj), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SqgradError(f"cannot write the result as JSON: {exc}") from exc
+    fh.write(text)
 
 
 def _positive_int(text: str) -> int:
@@ -89,12 +113,12 @@ def _cmd_estimate(args) -> int:
         "estimator": summary.spec,
         "n_samples": summary.n_samples,
         "queries": summary.queries,
-        "mean_value": None if np.isnan(summary.mean_value) else summary.mean_value,
-        "value_std_err": None if np.isnan(summary.value_std_err) else summary.value_std_err,
+        "mean_value": summary.mean_value,
+        "value_std_err": summary.value_std_err,
         "mean_gradient": summary.mean_gradient.tolist(),
         "gradient_std_err": summary.gradient_std_err.tolist(),
     }
-    json.dump(out, sys.stdout, indent=2)
+    _dump_json(out, sys.stdout)
     print()
     return EXIT_OK
 
@@ -109,7 +133,7 @@ def _cmd_exact(args) -> int:
     if args.fd is not None:
         out["fd_gradient"] = finite_difference_gradient(x, oracle, h=args.fd).tolist()
     out["oracle_calls"] = oracle.call_count
-    json.dump(out, sys.stdout, indent=2)
+    _dump_json(out, sys.stdout)
     print()
     return EXIT_OK
 
@@ -144,9 +168,9 @@ def _cmd_descend(args) -> int:
                 "final_x": traj.final_x.tolist(),
             }
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
+                _dump_json(payload, fh)
             out["trajectory_file"] = args.out
-    json.dump(out, sys.stdout, indent=2)
+    _dump_json(out, sys.stdout)
     print()
     return EXIT_OK
 

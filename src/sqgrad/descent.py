@@ -166,11 +166,11 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     then trusts them, apart from one finiteness check of the states
     after each update.
 
-    Noise lives in one (noise_draws, m, d) buffer.  Each step fills
+    Noise lives in one (noise_law.draws, m, d) buffer.  Each step fills
     trial i's row ``buffer[:, i]`` from that trial's generator, one
     ``draw_noise`` call per trial, and then maps the whole buffer to
-    noise with one ``noise_from`` call; row by row this is the noise a
-    lone ``draw_noise(rng, d)`` returns.
+    noise with one ``noise_law.from_draws`` call; row by row this is
+    the noise a lone ``draw_noise(rng, d)`` returns.
 
     Each step evaluates every trial with one oracle query: the shared
     oracle when all trials have it, else the trials' own instances
@@ -211,7 +211,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     rngs = [derive_rng(cfg.seed) for cfg in configs]
 
     raw = np.empty((m, steps * qps))
-    draws = np.empty((est.noise_draws, m, d))
+    draws = np.empty((est.noise_law.draws, m, d))
     rows = [draws[:, i] for i in range(m)]
     snap_steps = [0]
     snaps = [np.array(est.decode(states))]
@@ -222,7 +222,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
         eta = head.schedule.rate(t)
         for rng, row in zip(rngs, rows):
             est.draw_noise(rng, d, draws=row)
-        noise = est.noise_from(draws)
+        noise = est.noise_law.from_draws(draws)
         batch = est.evaluate(states, noise, oracle)
         states = np.minimum(np.maximum(states + sign * eta * batch.grads, lo), hi)
         if not np.isfinite(states).all():

@@ -172,8 +172,8 @@ class SymmetricDistribution:
 
 
 @dataclass(frozen=True)
-class UniformInterval(SymmetricDistribution):
-    """Uniform law on [-half_width, half_width]."""
+class _HalfWidth(SymmetricDistribution):
+    """A law on [-half_width, half_width], c = half_width > 0."""
 
     half_width: float
 
@@ -184,6 +184,10 @@ class UniformInterval(SymmetricDistribution):
     @property
     def support(self) -> tuple[float, float]:
         return (-self.half_width, self.half_width)
+
+
+class UniformInterval(_HalfWidth):
+    """Uniform law on [-half_width, half_width]."""
 
     def _cdf(self, z):
         c = self.half_width
@@ -290,19 +294,8 @@ class GaussianMixture(SymmetricDistribution):
         return sign * self.center + self.scale * raw[1]
 
 
-@dataclass(frozen=True)
-class Triangular(SymmetricDistribution):
+class Triangular(_HalfWidth):
     """Symmetric triangular law on [-half_width, half_width], peak at 0."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise DomainError("half_width must be positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.half_width, self.half_width)
 
     def _cdf(self, z):
         c = self.half_width
@@ -322,19 +315,8 @@ class Triangular(SymmetricDistribution):
         return np.where(np.abs(z) <= c, (c - np.abs(z)) / (c * c), 0.0)
 
 
-@dataclass(frozen=True)
-class HalfCosine(SymmetricDistribution):
+class HalfCosine(_HalfWidth):
     """Law with density proportional to cos(pi z / (2 c)) on [-c, c]."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise DomainError("half_width must be positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.half_width, self.half_width)
 
     def _cdf(self, z):
         c = self.half_width
@@ -353,22 +335,11 @@ class HalfCosine(SymmetricDistribution):
         )
 
 
-@dataclass(frozen=True)
-class RaisedCosine(SymmetricDistribution):
+class RaisedCosine(_HalfWidth):
     """Law with density (1 + cos(pi z / c)) / (2 c) on [-c, c]."""
-
-    half_width: float
 
     INV_TOL = 1e-13
     INV_MAX_ITER = 200
-
-    def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise DomainError("half_width must be positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-self.half_width, self.half_width)
 
     def _cdf(self, z):
         c = self.half_width
@@ -381,7 +352,7 @@ class RaisedCosine(SymmetricDistribution):
         lo = np.full(x.shape, -c)
         hi = np.full(x.shape, c)
         return _bisect_increasing(
-            self.cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
+            self._cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
         )
 
     def _density(self, z):

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,19 +156,6 @@ def _query_rows(keys: np.ndarray, oracle: Oracle) -> np.ndarray:
     return oracle.query_batch(flat).reshape(keys.shape[0], -1)
 
 
-class _OneAtATime:
-    """An oracle that the blocks of one ``sample_batch`` call query one
-    at a time, since a user ``Oracle`` need not be thread-safe."""
-
-    def __init__(self, oracle: Oracle):
-        self._oracle = oracle
-        self._lock = threading.Lock()
-
-    def query_batch(self, ys) -> np.ndarray:
-        with self._lock:
-            return self._oracle.query_batch(ys)
-
-
 class _UnitUniform:
     """Uniform noise on [0, 1), the score estimators' u; it has the
     sampling half of ``SymmetricDistribution``'s interface."""
@@ -256,28 +242,20 @@ class Estimator:
     #: score estimators.
     noise_law: SymmetricDistribution | _UnitUniform
 
-    @property
-    def noise_draws(self) -> int:
-        """Generator planes per noise entry; see ``draw_noise``."""
-        return self.noise_law.draws
-
     def draw_noise(
         self, rng: np.random.Generator, d: int, *, draws: np.ndarray | None = None
     ) -> np.ndarray | None:
         """One realisation's noise, shape (d,).
 
-        Given ``draws``, a (noise_draws, d) buffer, write the generator
-        output there instead and return nothing; ``noise_from`` maps a
-        buffer of such rows to noise in one pass, with the same bits.
+        Given ``draws``, a (noise_law.draws, d) buffer, write the
+        generator output there instead and return nothing;
+        ``noise_law.from_draws`` maps a buffer of such rows to noise in
+        one pass, with the same bits.
         """
         if draws is None:
             return self.noise_law.sample(rng, d)
         self.noise_law.draw(rng, draws)
         return None
-
-    def noise_from(self, draws: np.ndarray) -> np.ndarray:
-        """Noise from a (noise_draws, ...) buffer filled by ``draw_noise``."""
-        return self.noise_law.from_draws(draws)
 
     def draw_noise_batch(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         return self.noise_law.sample(rng, (n, d))
@@ -338,8 +316,9 @@ class Estimator:
         The noise of all n rows is drawn first, from ``rng`` in this
         thread.  ``evaluate`` then runs on row blocks of about
         ``_BLOCK_ENTRIES`` entries each; with several blocks they run on
-        up to ``SQGRAD_MAX_WORKERS`` threads that end with this call,
-        querying ``oracle`` one block at a time.  The kernel is row-wise,
+        up to ``SQGRAD_MAX_WORKERS`` threads that end with this call.
+        The oracle answers them one block at a time, under its own lock
+        (see :mod:`sqgrad.oracles`).  The kernel is row-wise,
         so the result has the bits of one ``evaluate`` over all rows,
         whatever the worker count.
         """
@@ -352,10 +331,9 @@ class Estimator:
         size = -(-n // n_blocks)
         blocks = [slice(i, i + size) for i in range(0, n, size)]
         self._share_state(states[:1])
-        guarded = _OneAtATime(oracle)
 
         def run(block: slice) -> SampleBatch:
-            return self.evaluate(states[block], noise[block], guarded)
+            return self.evaluate(states[block], noise[block], oracle)
 
         workers = min(_worker_cap(), len(blocks))
         # Imported here, so that processes which never start the pool,

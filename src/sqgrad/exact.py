@@ -41,7 +41,8 @@ def _checked_x(x, oracle) -> np.ndarray:
         raise DimensionMismatchError(
             f"x has length {x.shape[0]} but the oracle has dimension {oracle.d}"
         )
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    # A NaN fails both comparisons and is rejected.
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise DomainError("x must lie in [0, 1]^d")
     if oracle.d > MAX_EXACT_DIM:
         raise DimensionTooLargeError(

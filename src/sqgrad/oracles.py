@@ -6,6 +6,11 @@ entry point (``query`` is its one-row form); subclasses supply only
 ``_values``, the answers at checked keys.  Estimator code never peeks
 inside an oracle; the counter is the ground truth for query budgets.
 
+An oracle answers one query at a time: ``query_batch`` credits the
+counter and runs ``_values`` under the oracle's own lock, so threads
+that share an oracle, such as the row blocks of one ``sample_batch``
+call or two estimates run side by side, never meet inside ``_values``.
+
 Every shipped objective is one lookup, ``_table[y @ _weights]``, with
 int64 weights: powers of two for ``TableOracle``, ones for
 ``SymmetricSliceOracle`` (the hamming weight) and the item weights for
@@ -64,20 +69,19 @@ class Oracle:
 
     def query(self, y) -> float:
         """Evaluate one vertex; increments the counter by exactly 1."""
-        y = self._checked(np.asarray(y)[None, :])
-        self._count(1)
-        return float(self._values(y)[0])
+        return float(self.query_batch(np.asarray(y)[None, :])[0])
 
     def query_batch(self, ys) -> np.ndarray:
-        """Evaluate a (n, d) batch; increments the counter by n."""
+        """Evaluate a (n, d) batch under the oracle's lock; increments
+        the counter by n."""
         ys = self._checked(ys)
-        self._count(ys.shape[0])
-        return self._values(ys)
+        with self._lock:
+            self._count(ys.shape[0])
+            return self._values(ys)
 
     def _count(self, n: int) -> None:
-        """Credit n evaluated vertices to the counter."""
-        with self._lock:
-            self._calls += n
+        """Credit n evaluated vertices to the counter; the lock is held."""
+        self._calls += n
 
     def _checked(self, ys) -> np.ndarray:
         """Bool (n, d) keys: as given.  Any other dtype: scanned for 0/1
@@ -95,7 +99,11 @@ class Oracle:
         return ys
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        """Values at checked (n, d) bool keys."""
+        """Values at checked (n, d) bool keys.
+
+        Runs under the oracle's lock, one caller at a time, so it need
+        not be thread-safe; it must not query its own oracle, whose lock
+        it would wait for forever."""
         raise NotImplementedError
 
     # ---------- accounting ----------
@@ -250,8 +258,9 @@ class _TrialOracles(Oracle):
     members hold the count.  The members must share one dimension.
 
     The stack gives its members one lock, its own, when it is built: a
-    stacked query credits every member under that one lock, so each
-    member's counter stays exact at every read and all move together.
+    stacked query credits every member and answers under that one lock,
+    so each member's counter stays exact at every read and all move
+    together.
     A member must belong to one stack in use at a time; the lockstep
     groups build theirs from fresh per-group instances.
 
@@ -285,9 +294,8 @@ class _TrialOracles(Oracle):
 
     def _count(self, n: int) -> None:
         per_member = n // len(self.members)
-        with self._lock:
-            for o in self.members:
-                o._calls += per_member
+        for o in self.members:
+            o._calls += per_member
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         blocks = ys.reshape(len(self.members), -1, self.d)

@@ -35,6 +35,12 @@ quadrature once per process, on the first lookup of ``bigauss_cosine``.
 The build fills its 2049 x 1536 density matrix in row blocks, so it
 holds that one 25 MB matrix and little else.
 
+The five are rows of one table, ``_BUILDERS``, each built on its first
+lookup through :func:`get_tuple`; :func:`register_tuple` adds a row.
+Each weight function is written once, on float arrays, and one adapter,
+``_elementwise``, gives it the float/array convention of
+:class:`GoodTuple`: a scalar in, a float out.
+
 Since sigma is symmetric, (f * sigma')(z) = E f(z + eps), so both
 checks compute E f(e + eps) by the same composite Gauss-Legendre rule
 as the bi-Gaussian table.  The module needs numpy only.
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -66,11 +72,6 @@ __all__ = [
     "GoodTuple",
     "ValidationReport",
     "ConvolutionReport",
-    "make_spike",
-    "make_arch",
-    "make_cosine",
-    "make_bigauss_cosine",
-    "make_longjump",
     "get_tuple",
     "register_tuple",
     "TUPLE_NAMES",
@@ -101,127 +102,69 @@ class GoodTuple:
 # ---------- the five shipped tuples ----------
 
 
-def _spike_f(z):
-    t = np.asarray(z, dtype=float)
-    out = np.where(
-        (t >= 0.0) & (t <= 0.5),
-        4.0 * t,
-        np.where((t > 0.5) & (t <= 1.0), 4.0 * (1.0 - t), 0.0),
-    )
-    return _maybe_scalar(out, t.ndim == 0)
+def _elementwise(body):
+    """A weight function from ``body``, which maps a float array
+    elementwise: the input is converted to a float array, and a scalar
+    input gets a float back.  The result keeps ``body``'s name, so a
+    tuple pickles its weight functions by reference."""
+
+    @wraps(body)
+    def fn(z):
+        t = np.asarray(z, dtype=float)
+        return _maybe_scalar(body(t), t.ndim == 0)
+
+    return fn
 
 
-def _spike_fp(z):
-    t = np.asarray(z, dtype=float)
-    out = np.where(
-        (t > 0.0) & (t < 0.5), 4.0, np.where((t > 0.5) & (t < 1.0), -4.0, 0.0)
-    )
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _spike_f(t):
+    return np.where((t >= 0.0) & (t <= 0.5), 4.0 * t,
+                    np.where((t > 0.5) & (t <= 1.0), 4.0 * (1.0 - t), 0.0))
 
 
-def _arch_f(z):
-    t = np.asarray(z, dtype=float)
-    inside = (t >= 0.0) & (t <= 1.0)
-    out = np.where(inside, 0.5 * math.pi * np.sin(math.pi * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _spike_fp(t):
+    return np.where((t > 0.0) & (t < 0.5), 4.0, np.where((t > 0.5) & (t < 1.0), -4.0, 0.0))
 
 
-def _arch_fp(z):
-    t = np.asarray(z, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.where(inside, 0.5 * math.pi**2 * np.cos(math.pi * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _arch_f(t):
+    return np.where((t >= 0.0) & (t <= 1.0), 0.5 * math.pi * np.sin(math.pi * t), 0.0)
 
 
-def _cosine_f(z):
-    t = np.asarray(z, dtype=float)
-    inside = (t >= 0.0) & (t <= 1.0)
-    out = np.where(inside, 1.0 - np.cos(2.0 * math.pi * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _arch_fp(t):
+    return np.where((t > 0.0) & (t < 1.0), 0.5 * math.pi**2 * np.cos(math.pi * t), 0.0)
 
 
-def _cosine_fp(z):
-    t = np.asarray(z, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.where(inside, 2.0 * math.pi * np.sin(2.0 * math.pi * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _cosine_f(t):
+    return np.where((t >= 0.0) & (t <= 1.0), 1.0 - np.cos(2.0 * math.pi * t), 0.0)
 
 
-def _longjump_f(z):
-    t = np.asarray(z, dtype=float)
-    out = np.maximum(0.0, 2.0 * t - 1.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _cosine_fp(t):
+    return np.where((t > 0.0) & (t < 1.0), 2.0 * math.pi * np.sin(2.0 * math.pi * t), 0.0)
 
 
-def _longjump_fp(z):
-    t = np.asarray(z, dtype=float)
-    out = np.where(t > 0.5, 2.0, 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _longjump_f(t):
+    return np.maximum(0.0, 2.0 * t - 1.0)
 
 
-def _bigauss_f(z):
-    t = np.asarray(z, dtype=float)
-    out = np.where(t >= 0.0, 1.0 - np.cos(0.5 * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _longjump_fp(t):
+    return np.where(t > 0.5, 2.0, 0.0)
 
 
-def _bigauss_fp(z):
-    t = np.asarray(z, dtype=float)
-    out = np.where(t > 0.0, 0.5 * np.sin(0.5 * t), 0.0)
-    return _maybe_scalar(out, t.ndim == 0)
+@_elementwise
+def _bigauss_f(t):
+    return np.where(t >= 0.0, 1.0 - np.cos(0.5 * t), 0.0)
 
 
-def make_spike() -> GoodTuple:
-    """Tent weight on [0, 1] smoothed by uniform noise on [-1/2, 1/2]."""
-    return GoodTuple(
-        name="spike",
-        f=_spike_f,
-        f_prime=_spike_fp,
-        sigma=UniformInterval(0.5),
-        sigma_hat=Triangular(0.5),
-        kinks=(0.0, 0.5, 1.0),
-    )
-
-
-def make_arch() -> GoodTuple:
-    """Sine arch weight on [0, 1] smoothed by uniform noise on [-1/2, 1/2]."""
-    return GoodTuple(
-        name="arch",
-        f=_arch_f,
-        f_prime=_arch_fp,
-        sigma=UniformInterval(0.5),
-        sigma_hat=HalfCosine(0.5),
-        kinks=(0.0, 1.0),
-    )
-
-
-def make_cosine() -> GoodTuple:
-    """1 - cos(2 pi z) weight on [0, 1]; the encoding inverse is numeric."""
-    return GoodTuple(
-        name="cosine",
-        f=_cosine_f,
-        f_prime=_cosine_fp,
-        sigma=UniformInterval(0.5),
-        sigma_hat=RaisedCosine(0.5),
-        kinks=(0.0, 1.0),
-    )
-
-
-def make_longjump() -> GoodTuple:
-    """Ramp weight with two-point noise at +-1; the encoding is linear.
-
-    The perturbation always jumps the encoded point across the origin
-    by +-1, so |z| lands in (1/2, 3/2) where f(z) = 2z - 1; the clamped
-    form max(0, 2z - 1) extends f continuously to the whole line.
-    """
-    return GoodTuple(
-        name="longjump",
-        f=_longjump_f,
-        f_prime=_longjump_fp,
-        sigma=TwoPoint(1.0),
-        sigma_hat=UniformInterval(0.5),
-        kinks=(0.5,),
-    )
+@_elementwise
+def _bigauss_fp(t):
+    return np.where(t > 0.0, 0.5 * np.sin(0.5 * t), 0.0)
 
 
 _BIGAUSS_CENTER = math.pi
@@ -286,35 +229,34 @@ def _bigauss_sigma_hat() -> TabulatedSymmetric:
     return TabulatedSymmetric(grid, np.clip(vals, 0.0, 1.0))
 
 
-def make_bigauss_cosine() -> GoodTuple:
-    """1 - cos(z/2) weight smoothed by an equal mixture of N(+-pi, 1).
-
-    The encoding cdf has no closed form; it is tabulated once per
-    process (4097 grid points over +-(pi + 8)), interpolated with PCHIP
-    and inverted by bisection inside the cell that brackets each
-    quantile.  The bisection evaluates that cell's cubic exactly as the
-    interpolant does, so it makes the same comparisons as bisecting the
-    interpolated cdf and returns the same bits (see
-    :class:`~sqgrad.distributions.TabulatedSymmetric`).
-    """
-    return GoodTuple(
-        name="bigauss_cosine",
-        f=_bigauss_f,
-        f_prime=_bigauss_fp,
-        sigma=GaussianMixture(_BIGAUSS_CENTER, _BIGAUSS_SCALE),
-        sigma_hat=_bigauss_sigma_hat(),
-        kinks=(0.0,),
-    )
-
-
 # ---------- registry ----------
 
+# The shipped tuples, each built on its first lookup: bigauss_cosine
+# tabulates its encoding then, and not at import.  register_tuple adds
+# user-built rows.
 _BUILDERS: dict[str, Callable[[], GoodTuple]] = {
-    "spike": make_spike,
-    "arch": make_arch,
-    "cosine": make_cosine,
-    "bigauss_cosine": make_bigauss_cosine,
-    "longjump": make_longjump,
+    # Tent weight on [0, 1] smoothed by uniform noise on [-1/2, 1/2].
+    "spike": lambda: GoodTuple("spike", _spike_f, _spike_fp, UniformInterval(0.5),
+                               Triangular(0.5), (0.0, 0.5, 1.0)),
+    # Sine arch weight on [0, 1] smoothed by the same uniform noise.
+    "arch": lambda: GoodTuple("arch", _arch_f, _arch_fp, UniformInterval(0.5),
+                              HalfCosine(0.5), (0.0, 1.0)),
+    # 1 - cos(2 pi z) on [0, 1]; the raised-cosine inverse is numeric.
+    "cosine": lambda: GoodTuple("cosine", _cosine_f, _cosine_fp, UniformInterval(0.5),
+                                RaisedCosine(0.5), (0.0, 1.0)),
+    # 1 - cos(z/2) smoothed by an equal mixture of N(+-pi, 1).  Its
+    # encoding cdf has no closed form: 4097 grid points over +-(pi + 8),
+    # interpolated by PCHIP and inverted in the cell that brackets each
+    # quantile, with the bits of bisecting the interpolant.
+    "bigauss_cosine": lambda: GoodTuple(
+        "bigauss_cosine", _bigauss_f, _bigauss_fp,
+        GaussianMixture(_BIGAUSS_CENTER, _BIGAUSS_SCALE), _bigauss_sigma_hat(), (0.0,)),
+    # Ramp weight with two-point noise at +-1; the encoding is linear.
+    # The noise always jumps the encoded point across the origin by +-1,
+    # so |z| lands in (1/2, 3/2) where f(z) = 2z - 1; the clamped form
+    # max(0, 2z - 1) extends f continuously to the whole line.
+    "longjump": lambda: GoodTuple("longjump", _longjump_f, _longjump_fp, TwoPoint(1.0),
+                                  UniformInterval(0.5), (0.5,)),
 }
 
 TUPLE_NAMES = tuple(_BUILDERS)

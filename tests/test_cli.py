@@ -1,9 +1,12 @@
+import io
 import json
+import math
 
 import pytest
 
 from sqgrad import cli
 from sqgrad.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from sqgrad.errors import SqgradError
 
 
 def test_usage_errors():
@@ -85,6 +88,56 @@ def test_exact_json(capsys):
 def test_exact_bad_point(capsys):
     assert main(["exact", "--problem", "slice:3", "--x", "0.5,oops"]) == EXIT_RUNTIME
     assert "cannot parse point" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_exact_nan_point_is_runtime_error(capsys):
+    assert main(["exact", "--problem", "slice:4", "--x", "nan"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("estimator", ["esg:arch", "naive", "reinforce", "disarm"])
+def test_estimate_from_one_sample_prints_strict_json(estimator, capsys):
+    # A variance needs two samples: every standard error is NaN, and
+    # every NaN is printed as null.
+    rc = main(["estimate", "--estimator", estimator, "--problem", "slice:6",
+               "--x", "0.3", "--samples", "1"])
+    assert rc == EXIT_OK
+    out = _strict_json(capsys.readouterr().out)
+    assert out["n_samples"] == 1
+    assert out["gradient_std_err"] == [None] * 6
+    assert out["value_std_err"] is None
+
+
+def test_json_output_maps_nan_to_null_and_refuses_infinity():
+    buf = io.StringIO()
+    cli._dump_json({"a": math.nan, "b": [1.0, [math.nan, 2.5]], "c": "x"}, buf)
+    assert _strict_json(buf.getvalue()) == {"a": None, "b": [1.0, [None, 2.5]], "c": "x"}
+    buf = io.StringIO()
+    with pytest.raises(SqgradError, match="JSON"):
+        cli._dump_json({"a": [1.0, math.inf]}, buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_estimate_that_overflows_is_runtime_error(tmp_path, capsys):
+    # Squared gradients of +-1e300 values overflow the variance to inf.
+    table = tmp_path / "huge.csv"
+    table.write_text("bits,value\n" + "".join(
+        f"{k:03b},{(-1) ** k * 1e300}\n" for k in range(8)))
+    rc = main(["estimate", "--estimator", "esg:arch", "--problem", f"table:{table}",
+               "--x", "0.3", "--samples", "100"])
+    assert rc == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == "" and "JSON" in captured.err
 
 
 def _descent_config(tmp_path, **kw):

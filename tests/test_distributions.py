@@ -23,7 +23,7 @@ from sqgrad.errors import (
     NoDensityError,
     NotInvertibleError,
 )
-from sqgrad.tuples import make_bigauss_cosine
+from sqgrad.tuples import get_tuple
 
 CLOSED_FORM = [
     UniformInterval(0.5),
@@ -92,7 +92,7 @@ def test_inverse_round_trip(dist):
 
 @pytest.mark.parametrize(
     "dist",
-    CLOSED_FORM + [make_bigauss_cosine().sigma_hat],
+    CLOSED_FORM + [get_tuple("bigauss_cosine").sigma_hat],
     ids=lambda d: type(d).__name__,
 )
 def test_inv_cdf_rejects_boundary(dist):
@@ -128,7 +128,7 @@ def test_sampling_follows_cdf(dist):
 
 def test_sampling_shapes():
     rng = np.random.default_rng(0)
-    for dist in CLOSED_FORM + [TwoPoint(1.0), make_bigauss_cosine().sigma_hat]:
+    for dist in CLOSED_FORM + [TwoPoint(1.0), get_tuple("bigauss_cosine").sigma_hat]:
         assert np.shape(dist.sample(rng)) == ()
         for size, shape in ((7, (7,)), ((3, 2), (3, 2)), (0, (0,)), ((0, 3), (0, 3))):
             assert dist.sample(rng, size).shape == shape
@@ -157,7 +157,7 @@ _SAMPLED_LAWS = st.one_of(
     st.floats(1e-2, 1e2).map(TwoPoint),
     st.builds(GaussianMixture, st.floats(0.0, 5.0), st.floats(0.05, 3.0)),
     # Inverse transform: closed form, bisection, and a tabulated law.
-    st.sampled_from([Triangular(0.5), RaisedCosine(0.7), make_bigauss_cosine().sigma_hat]),
+    st.sampled_from([Triangular(0.5), RaisedCosine(0.7), get_tuple("bigauss_cosine").sigma_hat]),
 )
 
 
@@ -184,7 +184,7 @@ def test_sample_matches_the_one_call_sampler(dist, size, seed):
 
 @pytest.mark.parametrize(
     "dist",
-    CLOSED_FORM + [TwoPoint(1.0), make_bigauss_cosine().sigma_hat],
+    CLOSED_FORM + [TwoPoint(1.0), get_tuple("bigauss_cosine").sigma_hat],
     ids=lambda d: type(d).__name__,
 )
 def test_sample_without_size_is_a_float(dist):
@@ -229,13 +229,10 @@ def test_gaussian_mixture_cdf_matches_ndtr(center, scale):
 
 
 def test_parameter_validation():
-    for bad in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            UniformInterval(bad)
-        with pytest.raises(DomainError):
-            TwoPoint(bad)
-        with pytest.raises(DomainError):
-            Triangular(bad)
+    for bad in (0.0, -1.0, math.nan):
+        for law in (UniformInterval, Triangular, HalfCosine, RaisedCosine, TwoPoint):
+            with pytest.raises(DomainError):
+                law(bad)
     with pytest.raises(DomainError):
         GaussianMixture(1.0, 0.0)
     with pytest.raises(DomainError):
@@ -276,7 +273,7 @@ def _table_bisection(tab, x):
 _GRID9 = np.linspace(-1.0, 1.0, 9)
 _GRID13 = np.linspace(-3.0, 3.0, 13)
 _TABLES = {
-    "bigauss": make_bigauss_cosine().sigma_hat,
+    "bigauss": get_tuple("bigauss_cosine").sigma_hat,
     # Ends at 0.9, so quantiles above it lie past the last grid point.
     "below_one": TabulatedSymmetric(_GRID9, 0.05 + 0.85 * RaisedCosine(1.0).cdf(_GRID9)),
     # Flat runs of 0s and 1s on both sides of a ramp.
@@ -422,7 +419,7 @@ def _assert_pchip_matches_scipy(tab, z):
 
 
 def test_bigauss_pchip_matches_scipy():
-    tab = make_bigauss_cosine().sigma_hat
+    tab = get_tuple("bigauss_cosine").sigma_hat
     z = np.random.default_rng(5).uniform(-15.0, 15.0, 20_000)
     _assert_pchip_matches_scipy(tab, _probe_points(tab.grid, z))
 
@@ -538,7 +535,7 @@ _LAWS = [
     Triangular(0.5),
     HalfCosine(0.5),
     RaisedCosine(0.5),
-    make_bigauss_cosine().sigma_hat,
+    get_tuple("bigauss_cosine").sigma_hat,
 ]
 
 

@@ -352,12 +352,12 @@ def test_noise_buffer_matches_per_trial_draws(spec):
     # each trial the noise a lone draw_noise(rng, d) returns.
     est = make_estimator(spec)
     m, d = 5, 7
-    draws = np.empty((est.noise_draws, m, d))
+    draws = np.empty((est.noise_law.draws, m, d))
     for i in range(m):
         assert est.draw_noise(np.random.default_rng(i), d, draws=draws[:, i]) is None
     alone = np.stack([est.draw_noise(np.random.default_rng(i), d) for i in range(m)])
     assert alone.shape == (m, d)
-    assert est.noise_from(draws).tobytes() == alone.tobytes()
+    assert est.noise_law.from_draws(draws).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -556,6 +556,17 @@ class _OneCallerOracle(Oracle):
                 self._inside -= 1
 
 
+@contextmanager
+def _fast_switching():
+    # Hand the GIL over every microsecond, so threads interleave often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("spec", ["esg:arch", "disarm"])
 def test_blocks_query_a_user_oracle_one_at_a_time(spec, workers, monkeypatch):
@@ -563,15 +574,72 @@ def test_blocks_query_a_user_oracle_one_at_a_time(spec, workers, monkeypatch):
     d = 8
     oracle = _OneCallerOracle(np.random.default_rng(4).normal(size=1 << d))
     n = 9 * (_BLOCK_ENTRIES // d) + 17
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with _fast_switching():
         s = estimate_mean_and_variance(
             spec, np.full(d, 0.4), oracle, n, np.random.default_rng(6))
-    finally:
-        sys.setswitchinterval(interval)
     qps = make_estimator(spec).queries_per_sample
     assert s.queries == oracle.call_count == n * qps
+
+
+def _run_threads(targets):
+    """Run each target on its own thread; the exceptions they raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # returned to the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    with _fast_switching():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+def test_an_oracle_answers_plain_threads_one_at_a_time():
+    d, rows, rounds, n_threads = 6, 40, 15, 4
+    oracle = _OneCallerOracle(np.random.default_rng(4).normal(size=1 << d))
+    keys = np.random.default_rng(5).random((rows, d)) < 0.5
+    want = oracle._inner.query_batch(keys)
+    got = []
+
+    def run():
+        for _ in range(rounds):
+            got.append(oracle.query_batch(keys))
+
+    assert _run_threads([run] * n_threads) == []
+    assert oracle.call_count == n_threads * rounds * rows
+    assert all(g.tobytes() == want.tobytes() for g in got)
+
+
+@pytest.mark.parametrize("spec", ["esg:arch", "disarm"])
+def test_two_estimates_share_one_user_oracle(spec):
+    # Each estimate runs its chunks on one thread; the two estimates
+    # meet only at the oracle, whose lock must keep them apart.
+    d, n, chunk = 6, 1200, 40
+    oracle = _OneCallerOracle(np.random.default_rng(4).normal(size=1 << d))
+    x = np.full(d, 0.4)
+
+    def estimate(seed):
+        return estimate_mean_and_variance(
+            spec, x, oracle, n, np.random.default_rng(seed), chunk_size=chunk)
+
+    results = {}
+    with _max_workers(1):
+        errors = _run_threads([lambda s=s: results.update({s: estimate(s)}) for s in (1, 2)])
+        assert errors == []
+        alone = TableOracle(oracle._inner._table)
+        for seed in (1, 2):
+            want = estimate_mean_and_variance(
+                spec, x, alone, n, np.random.default_rng(seed), chunk_size=chunk)
+            assert results[seed].mean_gradient.tobytes() == want.mean_gradient.tobytes()
+    qps = make_estimator(spec).queries_per_sample
+    assert oracle.call_count == 2 * n * qps
 
 
 @pytest.mark.parametrize("spec", ["esg:cosine", "esg:bigauss_cosine"])

@@ -121,6 +121,17 @@ def test_input_validation():
         multilinear_value(np.array([[0.5] * 3]), oracle)
 
 
+@pytest.mark.parametrize("fn", [multilinear_value, multilinear_gradient,
+                                finite_difference_gradient])
+def test_nan_point_is_rejected(fn):
+    # NaN fails both x < 0 and x > 1, so only a test that it lies in
+    # [0, 1] catches it.
+    oracle = TableOracle(np.arange(8.0))
+    with pytest.raises(DomainError):
+        fn(np.array([0.5, np.nan, 0.5]), oracle)
+    assert oracle.call_count == 0
+
+
 def test_dimension_cap():
     from sqgrad.oracles import SymmetricSliceOracle
 

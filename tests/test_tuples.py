@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -52,6 +53,22 @@ def test_register_tuple_guard():
     )
     with pytest.raises(ConfigError):
         register_tuple(custom)
+
+
+@pytest.mark.parametrize("name", TUPLE_NAMES)
+def test_weights_keep_the_float_array_convention_and_pickle_by_reference(name):
+    tup = get_tuple(name)
+    z = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+    for fn in (tup.f, tup.f_prime):
+        assert type(fn(0.3)) is float and type(fn(np.float64(-0.2))) is float
+        out = fn(z)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == z.shape
+        assert fn(z.tolist()).tobytes() == out.tobytes()
+        assert [fn(float(t)) for t in z.ravel()] == out.ravel().tolist()
+    back = pickle.loads(pickle.dumps(tup))
+    assert back.f is tup.f and back.f_prime is tup.f_prime
+    assert back.name == name and back.kinks == tup.kinks
+    assert type(back.sigma_hat) is type(tup.sigma_hat)
 
 
 def test_weight_spot_values():
