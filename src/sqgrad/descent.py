@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError
-from .estimators import Estimator, make_estimator
+from .estimators import Estimator, _count, make_estimator
 from .oracles import Oracle, ProblemSpec, _TrialOracles
 
 __all__ = [
@@ -100,16 +100,14 @@ class DescentConfig:
     snapshot_every: int | None = None  # default: max(1, steps // 1000)
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise ConfigError("steps must be at least 1")
+        _count("steps", self.steps, 1, ConfigError)
         if self.direction not in ("minimize", "maximize"):
             raise ConfigError(f"unknown direction {self.direction!r}")
         if not 0.0 < self.clamp < 0.5:
             raise ConfigError("clamp must lie in (0, 1/2)")
-        if int(self.seed) < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.snapshot_every is not None and int(self.snapshot_every) < 1:
-            raise ConfigError("snapshot_every must be positive")
+        _count("seed", self.seed, 0, ConfigError)
+        if self.snapshot_every is not None:
+            _count("snapshot_every", self.snapshot_every, 1, ConfigError)
         x0 = np.asarray(self.x0, dtype=float)
         if not np.all((x0 > 0.0) & (x0 < 1.0)):
             raise DomainError("x0 must lie strictly inside (0, 1)^d")
@@ -287,9 +285,8 @@ def run_repeated(
     """Independent trials with derived seeds; trial i uses
     seed = derive_seed(base_seed, i), and randomized problem families
     get a fresh instance per trial from the matching derivation."""
-    if int(n_trials) < 1:
-        raise ConfigError("n_trials must be at least 1")
-    n = int(n_trials)
+    n = _count("n_trials", n_trials, 1, ConfigError)
+    _count("base_seed", base_seed, 0, ConfigError)
     configs = [replace(config, seed=derive_seed(base_seed, i)) for i in range(n)]
     keys = [(base_seed, i, 1) for i in range(n)]
     return _run_group(configs, _trial_oracles(problem, keys))

@@ -41,7 +41,7 @@ scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
 the cubic is summed in PPoly's order, so each value has scipy's bits.
 
 :meth:`TabulatedSymmetric.inv_cdf` bisects each quantile's PCHIP cell
-until the call's widest bracket is below ``INV_TOL``.  It replays most
+until that entry's bracket is below ``INV_TOL``.  It replays most
 of the rounds, steering the loop's own midpoints by a Newton root of
 the cell's cubic, certifies each entry against a proven bound on the
 cubic's rounding error, redoes the few that fail with the exact
@@ -423,12 +423,12 @@ class TabulatedSymmetric(SymmetricDistribution):
     no call of :meth:`cdf`.  It sums the cubic in the same order and
     takes the table value at an inner cell's right end, as the cell
     lookup does; every comparison, and so every output bit, is that of
-    bisecting :meth:`cdf` itself.  The loop runs until the widest
-    bracket of the call is below ``INV_TOL``.
+    bisecting :meth:`cdf` itself.  Each entry stops once its own
+    bracket is below ``INV_TOL``, whatever the call's other entries.
 
-    Most of its rounds are replayed, not evaluated.  The stop rule is
-    certain to run the first few rounds (a lower bound on the widest
-    bracket, :meth:`_certain_rounds`); all of them but the last
+    Most of its rounds are replayed, not evaluated.  Every entry's stop
+    rule is certain to run the first few rounds (a lower bound on the
+    narrowest bracket, :meth:`_certain_rounds`); all of them but the last
     ``INV_TAIL`` take the loop's own midpoint ``0.5 (lo + hi)`` and
     decide it by ``mid < r``, r a Newton root of the cell's cubic, in a
     handful of numpy calls and no cubic.  Then each entry is certified:
@@ -461,9 +461,9 @@ class TabulatedSymmetric(SymmetricDistribution):
     is the exact loop's.  An entry that fails redoes its rounds with
     the exact comparison; then every entry finishes with the exact loop
     under its unchanged stop rule (the first ``INV_TAIL`` rounds of it
-    are certain), so the round count and every output bit are those of
-    the exact loop from the start.  A table whose widest bracket leaves
-    no round to replay runs only the exact loop.
+    are certain), so each entry's round count and every output bit are
+    those of the exact loop from the start.  A call whose narrowest
+    bracket leaves no round to replay runs only the exact loop.
     """
 
     INV_TOL = 1e-13
@@ -551,7 +551,7 @@ class TabulatedSymmetric(SymmetricDistribution):
         # cell, where the cdf is the table value, which is >= x: the
         # step goes left.
         edge = np.where(upper < last, hi, np.inf)
-        certain = self._certain_rounds(np.subtract(hi, lo).max(initial=0.0))
+        certain = self._certain_rounds(np.subtract(hi, lo).min(initial=grid[-1] - grid[0]))
         k = max(certain - self.INV_TAIL, 0)
         if k:
             lo0, hi0 = lo, hi
@@ -569,10 +569,10 @@ class TabulatedSymmetric(SymmetricDistribution):
         )
         return (0.5 * (lo + hi)).reshape(x.shape)
 
-    def _certain_rounds(self, widest: float) -> int:
-        """Rounds the stop rule max(hi - lo) < INV_TOL is certain to run.
+    def _certain_rounds(self, narrowest: float) -> int:
+        """Rounds every entry's stop rule hi - lo < INV_TOL is certain to run.
 
-        w_k bounds the real width of the widest bracket from below: a
+        w_k bounds the real width of the narrowest bracket from below: a
         round halves it, less the midpoint's rounding, at most ``slip``
         (u times the grid's reach, plus a subnormal halving's), and the
         stop rule sees at least (1 - u) w_k (u = 2**-53), so round k runs
@@ -585,7 +585,7 @@ class TabulatedSymmetric(SymmetricDistribution):
         shrink = 1.0 - 2.0**-50
         a = 0.5 * shrink
         c = (2.0**-53 * self._reach + 2.0**-1074) / (1.0 - a)
-        top, floor = float(widest) * shrink + c, self.INV_TOL / shrink + c
+        top, floor = float(narrowest) * shrink + c, self.INV_TOL / shrink + c
         last = math.floor((math.log(top) - math.log(floor)) / -math.log(a) - 1e-9)
         return min(max(last + 1, 0), self.INV_MAX_ITER)
 
@@ -650,17 +650,25 @@ def _cell_cdf(coef, s, cdf, s2, term):
 
 def _exact_rounds(x, lo, hi, left, coef, edge, certain, most, tol):
     """Bisect each cell's cubic for x in place, comparing ``_cell_cdf``
-    at the midpoint with x: ``certain`` rounds, then more, up to
-    ``most`` in all, until max(hi - lo) < tol before a round."""
+    at the midpoint with x: ``certain`` rounds, then up to ``most`` in
+    all, each entry until its own hi - lo < tol before a round."""
     mid, s, s2, cdf, term = (np.empty_like(x) for _ in range(5))
     right, inside = (np.empty(x.shape, dtype=bool) for _ in range(2))
+    live = None  # the entries still bisecting, once some have stopped
     for done in range(most):
-        if done >= certain and np.subtract(hi, lo, out=term).max(initial=0.0) < tol:
-            break
+        if done >= certain:
+            stop = np.subtract(hi, lo, out=term) < tol
+            if stop.all():
+                break
+            live = ~stop if stop.any() else None
         np.add(lo, hi, out=mid)
         mid *= 0.5
         _cell_cdf(coef, np.subtract(mid, left, out=s), cdf, s2, term)
         np.less(cdf, x, out=right)
         right &= np.less(mid, edge, out=inside)
+        left_of = np.logical_not(right, out=inside)
+        if live is not None:
+            right &= live
+            left_of &= live
         np.putmask(lo, right, mid)
-        np.putmask(hi, np.logical_not(right, out=right), mid)
+        np.putmask(hi, left_of, mid)

@@ -38,11 +38,13 @@ value for it; ``naive`` is the value baseline.
 logit space, mapped back to x by the chain rule.  The score estimators
 carry no value estimate; the sample's value field is NaN.
 
-``make_estimator(spec)`` builds any of them.  ``sample`` draws one
-realisation, ``sample_batch`` n of them at one state, and ``at_noise``
-evaluates one at given noise: at fixed noise the threshold estimators
-are pathwise differentiable in the state, which finite-difference
-checks rely on.
+Each method is one class, and ``make_estimator(spec)`` builds any of
+them.  ``sample`` draws one realisation, ``sample_batch`` n of them at
+one state, and ``at_noise`` evaluates one at given noise: at fixed
+noise the threshold estimators are pathwise differentiable in the
+state, which finite-difference checks rely on.  All of them, and
+descent, go through ``Estimator.evaluate``; an estimator keeps no
+per-call state, so one instance serves any number of threads.
 """
 
 from __future__ import annotations
@@ -98,15 +100,15 @@ def _worker_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _positive_count(name: str, value) -> int:
-    """``value`` as an int; a DomainError naming it unless it is an
-    integer of at least 1."""
+def _count(name: str, value, least: int = 1, error: type[Exception] = DomainError) -> int:
+    """``value`` as an int; ``error`` naming it unless it is an integer
+    (an integral float passes) of at least ``least``."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or count != value or count < 1:
-        raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+    if count is None or count != value or count < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
     return count
 
 
@@ -189,6 +191,8 @@ class Estimator:
     spec: str
     queries_per_sample: int
     provides_value: bool
+    #: The tuple (f, sigma, sigma_hat) of a tuple method, else None.
+    tup: GoodTuple | None = None
     #: The encoding sigma_hat when states live in its domain, else None.
     encoding: SymmetricDistribution | None = None
 
@@ -260,23 +264,64 @@ class Estimator:
     def draw_noise_batch(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         return self.noise_law.sample(rng, (n, d))
 
-    def evaluate(
-        self, states: np.ndarray, noise: np.ndarray, oracle: Oracle
-    ) -> SampleBatch:
+    # ---------- kernel ----------
+
+    def _at_state(self, states: np.ndarray):
+        """What a method needs of the (m, d) states alone."""
+        return states
+
+    def _rows(self, at, noise: np.ndarray, oracle: Oracle) -> SampleBatch:
+        """One realisation per noise row from ``_at_state``'s map."""
+        raise NotImplementedError
+
+    def evaluate(self, states: np.ndarray, noise: np.ndarray, oracle: Oracle) -> SampleBatch:
         """Evaluate one realisation per state row at the given noise.
 
         ``states`` and ``noise`` are (m, d) float arrays and every state
-        lies in the estimator's domain; callers have checked that.  All
-        rows query the one ``oracle`` in a single batch; a lockstep group
+        lies in the estimator's domain; callers have checked that.
+        ``_at_state`` maps the states once, or their one row when they
+        are broadcast from one state (stride 0).  Distinct rows then run
+        as one pass of ``_rows``, one ``oracle`` batch; a lockstep group
         with per-trial instances passes them stacked, one block per row.
+        Broadcast rows run in blocks of about ``_BLOCK_ENTRIES`` entries,
+        on up to ``SQGRAD_MAX_WORKERS`` threads that end with this call;
+        the oracle answers one block at a time, under its own lock.  The
+        kernel is row-wise, so the bits are those of one pass over all
+        rows, whatever the worker count.
         """
-        raise NotImplementedError
+        if states.strides[0] != 0:
+            return self._rows(self._at_state(states), noise, oracle)
+        at = self._at_state(states[:1])
+        n, d = noise.shape
+        n_blocks = -(-n * d // _BLOCK_ENTRIES)
+        size = -(-n // n_blocks)
+        blocks = [slice(i, i + size) for i in range(0, n, size)]
+
+        def run(block: slice) -> SampleBatch:
+            return self._rows(at, noise[block], oracle)
+
+        workers = min(_worker_cap(), len(blocks))
+        # Imported here, so that processes which never start the pool,
+        # such as experiment runs, do not load its module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        try:
+            parts = pool.map(run, blocks) if pool else map(run, blocks)
+            out, queries = None, 0
+            for block, part in zip(blocks, parts):
+                fields = (part.keys, part.values, part.grads, part.raw)
+                if out is None:
+                    out = [np.empty((n,) + a.shape[1:], a.dtype) for a in fields]
+                for whole, a in zip(out, fields):
+                    whole[block] = a
+                queries += part.queries
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+        return SampleBatch(*out, queries=queries)
 
     # ---------- sampling ----------
-
-    def _share_state(self, x: np.ndarray) -> None:
-        """Map the (1, d) state that all row blocks of one ``sample_batch``
-        call share, once, before they run; ``evaluate`` then reuses it."""
 
     def _checked_point(self, x, oracle: Oracle) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -311,57 +356,20 @@ class Estimator:
     def sample_batch(
         self, x, oracle: Oracle, rng: np.random.Generator, n: int
     ) -> SampleBatch:
-        """n independent realisations at a fixed state, vectorised.
-
-        The noise of all n rows is drawn first, from ``rng`` in this
-        thread.  ``evaluate`` then runs on row blocks of about
-        ``_BLOCK_ENTRIES`` entries each; with several blocks they run on
-        up to ``SQGRAD_MAX_WORKERS`` threads that end with this call.
-        The oracle answers them one block at a time, under its own lock
-        (see :mod:`sqgrad.oracles`).  The kernel is row-wise,
-        so the result has the bits of one ``evaluate`` over all rows,
-        whatever the worker count.
-        """
+        """n independent realisations at a fixed state, vectorised: the
+        noise of all n rows is drawn first, from ``rng`` in this thread,
+        then ``evaluate`` runs on n rows broadcast from ``x``."""
         x = self._checked_point(x, oracle)
-        n = _positive_count("n", n)
+        n = _count("n", n)
         d = x.shape[0]
-        states = np.broadcast_to(x, (n, d))
         noise = self.draw_noise_batch(rng, n, d)
-        n_blocks = -(-n * d // _BLOCK_ENTRIES)
-        size = -(-n // n_blocks)
-        blocks = [slice(i, i + size) for i in range(0, n, size)]
-        self._share_state(states[:1])
-
-        def run(block: slice) -> SampleBatch:
-            return self.evaluate(states[block], noise[block], oracle)
-
-        workers = min(_worker_cap(), len(blocks))
-        # Imported here, so that processes which never start the pool,
-        # such as experiment runs, do not load its module.
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers) if workers > 1 else None
-        try:
-            parts = pool.map(run, blocks) if pool else map(run, blocks)
-            out, queries = None, 0
-            for block, part in zip(blocks, parts):
-                fields = (part.keys, part.values, part.grads, part.raw)
-                if out is None:
-                    out = [np.empty((n,) + a.shape[1:], a.dtype) for a in fields]
-                for whole, a in zip(out, fields):
-                    whole[block] = a
-                queries += part.queries
-        finally:
-            if pool:
-                pool.shutdown(cancel_futures=True)
-        keys, values, grads, raw = out
-        return SampleBatch(keys=keys, values=values, grads=grads, raw=raw, queries=queries)
+        return self.evaluate(np.broadcast_to(x, (n, d)), noise, oracle)
 
 
 class _ProductEstimator(Estimator):
     """A single-query estimator in product form; see the module docstring.
 
-    ``coordinates(est, states, noise)`` is the method's per-coordinate
+    A subclass's ``_at_noise(at, noise)`` is the method's per-coordinate
     map.  It returns the (m, d) keys, the weights w, and the gradient
     weights w' as a numerator and a denominator, each (m, d) or
     broadcastable to it.  The denominator divides after the
@@ -373,39 +381,10 @@ class _ProductEstimator(Estimator):
     """
 
     queries_per_sample = 1
+    provides_value = True
 
-    def __init__(
-        self,
-        spec: str,
-        coordinates,
-        noise_law,
-        *,
-        tup: GoodTuple | None = None,
-        encoding: SymmetricDistribution | None = None,
-        provides_value: bool = True,
-    ):
-        self.spec = spec
-        self.coordinates = coordinates
-        self.noise_law = noise_law
-        self.tup = tup
-        self.encoding = encoding
-        self.provides_value = provides_value
-        #: (state bytes, (e, density)) of the state ``_share_state`` mapped.
-        self._shared_row = None
-
-    def _share_state(self, x):
-        # esg on probabilities maps its state through sigma_hat^{-1}: do
-        # it here, once a call, rather than in every row block.
-        self._shared_row = None
-        if self.tup is not None and not self.encoded:
-            self._shared_row = (x.tobytes(), _esg_encoded(self, x))
-
-    def evaluate(self, states, noise, oracle):
-        if states.strides[0] == 0:
-            # Broadcast rows (sample_batch) share one state: map it once
-            # and let the arithmetic broadcast it over the noise rows.
-            states = states[:1]
-        keys, w, numer, denom = self.coordinates(self, states, noise)
+    def _rows(self, at, noise, oracle):
+        keys, w, numer, denom = self._at_noise(at, noise)
         raw = _query_rows(keys, oracle)
         q = raw[:, 0]
         if w is None:
@@ -426,88 +405,112 @@ class _ProductEstimator(Estimator):
         )
 
 
-def _esg_encoded(est: _ProductEstimator, state):
-    """e = sigma_hat^{-1}(x) and sigma_hat'(e) at probability states;
-    a one-row state that ``_share_state`` mapped is not mapped again."""
-    shared = est._shared_row
-    if shared is not None and state.shape[0] == 1 and shared[0] == state.tobytes():
-        return shared[1]
-    tup = est.tup
-    e = np.asarray(tup.sigma_hat.inv_cdf(state))
-    dens = np.asarray(tup.sigma_hat.density(e))
-    # The gradient weight divides by the density; a tabulated or
-    # flat encoding can make it vanish even at a valid state.
-    if np.any(dens <= 0.0):
-        raise TupleError(
-            f"{tup.name}: encoding density vanishes at the requested point"
-        )
-    return e, dens
+class _Esg(_ProductEstimator):
+    prefix = "esg"
+
+    def __init__(self, tup: GoodTuple):
+        self.spec = f"{self.prefix}:{tup.name}"
+        self.tup = tup
+        self.noise_law = tup.sigma
+
+    def _at_state(self, x):
+        sigma_hat = self.tup.sigma_hat
+        e = np.asarray(sigma_hat.inv_cdf(x))
+        dens = np.asarray(sigma_hat.density(e))
+        # The gradient weight divides by the density; a tabulated or
+        # flat encoding can make it vanish even at a valid state.
+        if np.any(dens <= 0.0):
+            raise TupleError(f"{self.tup.name}: encoding density vanishes at the requested point")
+        return e, dens
+
+    def _at_noise(self, at, eps):
+        e, dens = at
+        z = e + eps
+        az = np.abs(z)
+        w = np.asarray(self.tup.f(az))
+        return z >= 0.0, w, np.sign(z) * np.asarray(self.tup.f_prime(az)), dens
 
 
-def _esg_coordinates(est: _ProductEstimator, state, eps):
-    tup = est.tup
-    if est.encoded:
-        e, dens = state, None
-    else:
-        e, dens = _esg_encoded(est, state)
-    z = e + eps
-    az = np.abs(z)
-    w = np.asarray(tup.f(az))
-    return z >= 0.0, w, np.sign(z) * np.asarray(tup.f_prime(az)), dens
+class _EncodedEsg(_Esg):
+    prefix = "encoded_esg"
+
+    @property
+    def encoding(self) -> SymmetricDistribution:
+        return self.tup.sigma_hat
+
+    def _at_state(self, e):
+        return e, None
 
 
-def _naive_coordinates(est: _ProductEstimator, x, eps):
-    # The key thresholds inv_cdf(x) + eps with eps from the same law.
-    keys = np.asarray(est.noise_law.inv_cdf(x)) + eps >= 0.0
-    return keys, None, np.zeros(keys.shape), None
+class _Naive(_ProductEstimator):
+    spec = "naive"
+    noise_law = UniformInterval(0.5)
+
+    def _at_state(self, x):
+        return np.asarray(self.noise_law.inv_cdf(x))
+
+    def _at_noise(self, at, eps):
+        keys = at + eps >= 0.0
+        return keys, None, np.zeros(keys.shape), None
 
 
-def _reinforce_coordinates(est: _ProductEstimator, x, u):
-    keys = u < x
-    return keys, None, keys / x - (1.0 - keys) / (1.0 - x), None
+class _Reinforce(_ProductEstimator):
+    spec = "reinforce"
+    noise_law = _UnitUniform()
+    provides_value = False
+
+    def _at_noise(self, x, u):
+        keys = u < x
+        return keys, None, keys / x - (1.0 - keys) / (1.0 - x), None
 
 
 class _PairedScoreEstimator(Estimator):
     """Antithetic pair construction shared by arm and disarm.
 
-    ``logit_grad(x, u, keys, diff)`` is the method's gradient in logit
-    space, from the states, the uniforms, the (m, 2, d) key pair and the
-    (m, 1) difference of the pair's oracle values; the chain rule
-    d logit / dx = 1/(x(1-x)) maps it back to x.
+    A subclass's ``_logit_grad(x, u, keys, diff)`` is the method's
+    gradient in logit space, from the states, the uniforms, the
+    (m, 2, d) key pair and the (m, 1) difference of the pair's oracle
+    values; the chain rule d logit / dx = 1/(x(1-x)) maps it back to x.
     """
 
     provides_value = False
     queries_per_sample = 2
     noise_law = _UnitUniform()
 
-    def __init__(self, spec: str, logit_grad):
-        self.spec = spec
-        self.logit_grad = logit_grad
-
-    def evaluate(self, x, noise, oracle):
+    def _rows(self, x, noise, oracle):
         keys = np.stack([noise > 1.0 - x, noise < x], axis=1)  # (m, 2, d), bool
         raw = _query_rows(keys, oracle)
         diff = (raw[:, 0] - raw[:, 1])[:, None]
         return SampleBatch(
             keys=keys,
-            values=np.full(x.shape[0], math.nan),
-            grads=self.logit_grad(x, noise, keys, diff) / (x * (1.0 - x)),
+            values=np.full(keys.shape[0], math.nan),
+            grads=self._logit_grad(x, noise, keys, diff) / (x * (1.0 - x)),
             raw=raw,
-            queries=2 * x.shape[0],
+            queries=2 * keys.shape[0],
         )
 
 
-def _arm_logit_grad(x, u, keys, diff):
-    return diff * (u - 0.5)
+class _Arm(_PairedScoreEstimator):
+    spec = "arm"
+
+    def _logit_grad(self, x, u, keys, diff):
+        return diff * (u - 0.5)
 
 
-def _disarm_logit_grad(x, u, keys, diff):
-    y1, y2 = keys[:, 0, :], keys[:, 1, :]
-    # sigmoid(|logit(x)|) simplifies to max(x, 1-x).
-    return 0.5 * diff * np.where(y2, -1.0, 1.0) * (y1 != y2) * np.maximum(x, 1.0 - x)
+class _Disarm(_PairedScoreEstimator):
+    spec = "disarm"
+
+    def _logit_grad(self, x, u, keys, diff):
+        y1, y2 = keys[:, 0, :], keys[:, 1, :]
+        # sigmoid(|logit(x)|) simplifies to max(x, 1-x).
+        return 0.5 * diff * np.where(y2, -1.0, 1.0) * (y1 != y2) * np.maximum(x, 1.0 - x)
 
 
 # ---------- construction ----------
+
+#: The methods of a tuple, ``<prefix>:<tuple>``, and the methods without one.
+_TUPLE_METHODS = {cls.prefix: cls for cls in (_Esg, _EncodedEsg)}
+_METHODS = {cls.spec: cls for cls in (_Naive, _Reinforce, _Arm, _Disarm)}
 
 
 def make_estimator(spec: str) -> Estimator:
@@ -519,25 +522,10 @@ def make_estimator(spec: str) -> Estimator:
     """
     text = str(spec).strip().lower()
     head, _, tail = text.partition(":")
-    if head in ("esg", "encoded_esg") and tail:
-        tup = get_tuple(tail)
-        return _ProductEstimator(
-            f"{head}:{tup.name}",
-            _esg_coordinates,
-            tup.sigma,
-            tup=tup,
-            encoding=tup.sigma_hat if head == "encoded_esg" else None,
-        )
-    if text == "naive":
-        return _ProductEstimator("naive", _naive_coordinates, UniformInterval(0.5))
-    if text == "reinforce":
-        return _ProductEstimator(
-            "reinforce", _reinforce_coordinates, _UnitUniform(), provides_value=False
-        )
-    if text == "arm":
-        return _PairedScoreEstimator("arm", _arm_logit_grad)
-    if text == "disarm":
-        return _PairedScoreEstimator("disarm", _disarm_logit_grad)
+    if head in _TUPLE_METHODS and tail:
+        return _TUPLE_METHODS[head](get_tuple(tail))
+    if text in _METHODS:
+        return _METHODS[text]()
     raise ConfigError(f"unknown estimator {spec!r}")
 
 
@@ -609,8 +597,8 @@ def estimate_mean_and_variance(
     """
     if isinstance(estimator, str):
         estimator = make_estimator(estimator)
-    n_samples = _positive_count("n_samples", n_samples)
-    chunk_size = _positive_count("chunk_size", chunk_size)
+    n_samples = _count("n_samples", n_samples)
+    chunk_size = _count("chunk_size", chunk_size)
     x = np.asarray(x, dtype=float)
     state = estimator.encode(x)
 

@@ -30,8 +30,9 @@ import numpy as np
 
 from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
 from .errors import ConfigError, EmptyInputError, SqgradError
-from .estimators import _worker_cap, make_estimator
+from .estimators import _count, _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
+from .tuples import register_tuple
 
 __all__ = [
     "MethodSpec",
@@ -92,14 +93,10 @@ class ExperimentSpec:
                 f"name is too long: <name>.csv and <name>.svg take {size} bytes, "
                 f"more than the {_NAME_MAX} a file name may have"
             )
-        if int(self.budget) < 1:
-            raise ConfigError("budget must be a positive call count")
-        if int(self.n_trials) < 1:
-            raise ConfigError("n_trials must be at least 1")
-        if int(self.base_seed) < 0:
-            raise ConfigError("base_seed must be a nonnegative integer")
-        if int(self.grid_points) < 2:
-            raise ConfigError("grid_points must be at least 2")
+        _count("budget", self.budget, 1, ConfigError)
+        _count("n_trials", self.n_trials, 1, ConfigError)
+        _count("base_seed", self.base_seed, 0, ConfigError)
+        _count("grid_points", self.grid_points, 2, ConfigError)
         if not self.methods:
             raise ConfigError("an experiment needs at least one method")
         labels = [m.display for m in self.methods]
@@ -274,9 +271,9 @@ def load_descent_config(path) -> tuple[DescentConfig, ProblemSpec]:
 def call_grid(budget: int, grid_points: int = 512) -> np.ndarray:
     """Distinct integer call counts from 1 to the budget, at most
     grid_points of them."""
-    if budget < 1:
-        raise ConfigError("budget must be positive")
-    pts = np.linspace(1, budget, min(int(budget), int(grid_points)))
+    budget = _count("budget", budget, 1, ConfigError)
+    grid_points = _count("grid_points", grid_points, 1, ConfigError)
+    pts = np.linspace(1, budget, min(budget, grid_points))
     return np.unique(np.rint(pts).astype(np.int64))
 
 
@@ -327,16 +324,24 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     return _run_group(configs, _trial_oracles(parse_problem(spec.problem), keys))
 
 
+def _register_tuples(tups: list) -> None:
+    """Pool initializer: make the parent's tuples addressable here."""
+    for tup in filter(None, tups):
+        register_tuple(tup, overwrite=True)
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every method of the experiment and aggregate per method.
 
     The unit of parallelism is the method group; results are assembled
     in spec order, so the output does not depend on the worker count.
     """
-    grid = call_grid(int(spec.budget), int(spec.grid_points))
+    grid = call_grid(spec.budget, spec.grid_points)
     workers = min(_worker_cap(), len(spec.methods))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Spawn and forkserver workers import sqgrad afresh: send the tuples.
+        tups = [make_estimator(m.estimator).tup for m in spec.methods]
+        with ProcessPoolExecutor(workers, initializer=_register_tuples, initargs=(tups,)) as pool:
             groups = list(pool.map(_method_trajectories, [spec] * len(spec.methods), range(len(spec.methods))))
     else:
         groups = [_method_trajectories(spec, mi) for mi in range(len(spec.methods))]

@@ -14,6 +14,8 @@ from sqgrad.descent import (
     descend,
     run_repeated,
 )
+from sqgrad import tuples
+from sqgrad.distributions import TabulatedSymmetric
 from sqgrad.errors import ConfigError, DomainError, ScheduleError
 from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
 
@@ -321,3 +323,23 @@ def test_lockstep_group_over_distinct_tables_matches_solo_runs(estimator):
         (solo,) = _run_group([cfg], [TableOracle(table)])
         for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
             assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+@pytest.mark.parametrize("problem", ["slice:6", "knapsack:6"])
+def test_lockstep_group_matches_solo_runs_over_an_uneven_encoding(problem, monkeypatch):
+    # Cells from 0.01 to 2 wide: the group inverts brackets of every
+    # width in one call, and each must end where it ends alone.
+    table = TabulatedSymmetric([-3.0, -1.0, -0.01, 0.0, 0.01, 1.0, 3.0],
+                               [0.0, 0.1, 0.495, 0.5, 0.505, 0.9, 1.0])
+    monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
+    monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
+    tuples.register_tuple(replace(tuples.get_tuple("arch"), name="uneven", sigma_hat=table))
+    cfg = _config(estimator="esg:uneven", steps=40, x0=0.4)
+    spec = parse_problem(problem)
+    for base_seed in range(4):
+        group = run_repeated(cfg, spec, 4, base_seed)
+        for i, traj in enumerate(group):
+            key = (base_seed, i, 1) if spec.randomized else (base_seed, 0, 1)
+            (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(*key))])
+            for name in ("raw", "snapshots", "final_x"):
+                assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -14,7 +14,6 @@ from sqgrad.distributions import (
     Triangular,
     TwoPoint,
     UniformInterval,
-    _bisect_increasing,
     _pchip_coefficients,
 )
 from sqgrad.errors import (
@@ -253,7 +252,9 @@ def test_tabulated_symmetric_round_trip():
 
 
 def _table_bisection(tab, x):
-    """The tabulated inverse as a table bracket plus bisection of tab.cdf.
+    """The tabulated inverse as a table bracket plus bisection of tab.cdf,
+    each entry until its own bracket is below INV_TOL: what bisecting
+    that entry alone gives.
 
     This is the reference the cell-local bisection of inv_cdf must equal
     bit for bit.
@@ -264,9 +265,15 @@ def _table_bisection(tab, x):
     j = np.clip(np.searchsorted(tab._values, flat, side="left"), 1, None)
     lo = grid[j - 1]
     hi = grid[np.minimum(j, grid.size - 1)]
-    out = _bisect_increasing(
-        tab.cdf, flat, lo, hi, tol=tab.INV_TOL, max_iter=tab.INV_MAX_ITER
-    ).reshape(x.shape)
+    for _ in range(tab.INV_MAX_ITER):
+        live = ~(hi - lo < tab.INV_TOL)
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        right = tab.cdf(mid) < flat
+        lo = np.where(live & right, mid, lo)
+        hi = np.where(live & ~right, mid, hi)
+    out = (0.5 * (lo + hi)).reshape(x.shape)
     return float(out) if x.ndim == 0 else out
 
 
@@ -278,9 +285,10 @@ _TABLES = {
     "below_one": TabulatedSymmetric(_GRID9, 0.05 + 0.85 * RaisedCosine(1.0).cdf(_GRID9)),
     # Flat runs of 0s and 1s on both sides of a ramp.
     "flat_runs": TabulatedSymmetric(_GRID13, Triangular(1.5).cdf(_GRID13)),
-    # Uneven cells far from 0: the short cells shrink to adjacent doubles
-    # before the widest meets INV_TOL, so bisection lands on a cell's
-    # right end, which PPoly evaluates in the next cell.
+    # Uneven cells far from 0, where adjacent doubles lie more than
+    # INV_TOL apart: brackets shrink to adjacent doubles and on, so
+    # bisection lands on a cell's right end, which PPoly evaluates in
+    # the next cell.
     "uneven": TabulatedSymmetric(
         [-625.0, -610.0, -361.0, 155.0, 345.0], [0.0, 0.5, 0.602, 0.744, 1.0]
     ),
@@ -310,7 +318,7 @@ def _quantiles(tab):
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
 def test_tabulated_inverse_matches_table_bisection_at_table_values(name):
-    # The batch matters: the widest bracket in it sets the step count.
+    # Brackets of every width in one call: each stops on its own.
     tab = _TABLES[name]
     for x in (_inner_values(tab), np.array(_special_quantiles(tab))):
         assert np.array_equal(tab.inv_cdf(x), _table_bisection(tab, x))
@@ -357,6 +365,41 @@ def test_bigauss_inverse_is_batch_independent(shape, data):
     x = x.reshape(shape)
     rows = np.stack([tab.inv_cdf(row) for row in x])
     assert np.array_equal(tab.inv_cdf(x), rows)
+
+
+# Cells from 0.01 to 2 wide: their brackets meet INV_TOL in different rounds.
+_UNEVEN = (np.array([-3.0, -1.0, -0.01, 0.0, 0.01, 1.0, 3.0]),
+           np.array([0.0, 0.1, 0.495, 0.5, 0.505, 0.9, 1.0]))
+
+
+def test_tabulated_inverse_of_an_entry_does_not_depend_on_its_batch():
+    tab = TabulatedSymmetric(*_UNEVEN)
+    alone = tab.inv_cdf(np.array([0.5025]))
+    assert tab.inv_cdf(np.array([0.5025, 0.95]))[:1].tobytes() == alone.tobytes()
+
+
+@st.composite
+def _uneven_tables(draw):
+    n = draw(st.integers(4, 9))
+    # Cell widths over five decades, and cdf steps that may be zero.
+    widths = draw(st.lists(st.floats(-3.0, 2.0), min_size=n - 1, max_size=n - 1))
+    steps = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    assume(sum(steps) > 0.0)
+    grid = np.cumsum(np.concatenate([[draw(st.floats(-50.0, 0.0))], 10.0 ** np.array(widths)]))
+    values = np.concatenate([[0.0], np.cumsum(steps) / sum(steps)])
+    try:
+        return TabulatedSymmetric(grid, np.minimum(values, 1.0))
+    except ConstructionError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tab=_uneven_tables(), data=st.data())
+def test_tabulated_inverse_is_batch_independent_over_uneven_tables(tab, data):
+    x = np.array(data.draw(st.lists(_quantiles(tab), min_size=2, max_size=12)))
+    batch = tab.inv_cdf(x)
+    for i in range(x.size):
+        assert batch[i:i + 1].tobytes() == tab.inv_cdf(x[i:i + 1]).tobytes()
 
 
 def test_tabulated_symmetric_construction_errors():

@@ -524,8 +524,9 @@ def test_estimates_have_the_same_bits_at_every_worker_count(run):
     with _max_workers(workers):
         assert summary_and_calls() == serial
         batch = est.sample_batch(state, TableOracle(table), np.random.default_rng(seed), n)
+    # One unblocked pass of the row kernel over all rows.
     noise = est.draw_noise_batch(np.random.default_rng(seed), n, d)
-    whole = est.evaluate(np.broadcast_to(state, (n, d)), noise, TableOracle(table))
+    whole = est._rows(est._at_state(state[None, :]), noise, TableOracle(table))
     for got, want in ((batch.keys, whole.keys), (batch.values, whole.values),
                       (batch.grads, whole.grads), (batch.raw, whole.raw)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -656,3 +657,22 @@ def test_a_sample_batch_maps_its_state_once_at_any_worker_count(spec, monkeypatc
         calls.clear()
         est.sample_batch(np.full(4, 0.3), oracle, np.random.default_rng(0), n)
         assert len(calls) == 1, workers
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_evaluating_leaves_the_estimator_as_it_was(spec, monkeypatch):
+    # A shared estimator keeps no per-call state: threads, lockstep
+    # groups and later calls all see the object as it was built.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "2")
+    est = make_estimator(spec)
+    before = dict(vars(est))
+    d = 4
+    oracle = TableOracle(np.arange(16.0))
+    rng = np.random.default_rng(8)
+    for x in (np.full(d, 0.3), np.linspace(0.2, 0.7, d)):
+        state = est.encode(x)
+        est.sample_batch(state, oracle, rng, 3 * (_BLOCK_ENTRIES // d))
+        est.at_noise(state, oracle, est.draw_noise(rng, d))
+        est.evaluate(np.stack([state, state]), est.draw_noise_batch(rng, 2, d), oracle)
+        assert vars(est).keys() == before.keys(), spec
+        assert all(vars(est)[k] is v for k, v in before.items()), spec

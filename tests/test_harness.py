@@ -1,8 +1,10 @@
 import concurrent.futures
 import copy
 import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
 import re
 import tempfile
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sqgrad import estimators, harness
+from sqgrad import estimators, harness, tuples
 from sqgrad.cli import EXIT_RUNTIME, main
-from sqgrad.descent import Trajectory, descend
+from sqgrad.descent import DescentConfig, Schedule, Trajectory, descend, run_repeated
 from sqgrad.errors import ConfigError, EmptyInputError
 from sqgrad.estimators import ENV_MAX_WORKERS
 from sqgrad.harness import (
@@ -32,7 +34,8 @@ from sqgrad.harness import (
     run_experiment,
     write_outputs,
 )
-from sqgrad.oracles import TableOracle
+from sqgrad.oracles import TableOracle, parse_problem
+from sqgrad.tuples import get_tuple, register_tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -277,6 +280,26 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.p75, b.p75)
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_registered_tuples_reach_workers_of_every_start_method(tmp_path, monkeypatch, method):
+    # A worker started by spawn or forkserver imports sqgrad afresh, so
+    # it knows a tuple registered here only if the pool hands it over.
+    monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
+    monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
+    register_tuple(replace(get_tuple("arch"), name="myarch"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(method)))
+    spec = load_experiment_spec(_write_spec(tmp_path, problem="slice:6", methods=[
+        {"estimator": "esg:myarch", "eta": 0.1}, {"estimator": "reinforce", "eta": 0.1}]))
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv(ENV_MAX_WORKERS, workers)
+        paths = write_outputs(run_experiment(spec), tmp_path / workers)
+        outputs.append([Path(p).read_bytes() for p in paths])
+    assert outputs[0] == outputs[1]
+
+
 def test_worker_cap_env_validation(tmp_path, monkeypatch):
     spec = load_experiment_spec(_write_spec(tmp_path))
     monkeypatch.setenv(ENV_MAX_WORKERS, "zero")
@@ -364,6 +387,41 @@ def test_experiment_spec_validation():
         ExperimentSpec("x", "slice:4", 10, 3, ())
     with pytest.raises(ConfigError):
         ExperimentSpec("x", "slice:4", 10, 3, m, grid_points=1)
+
+
+def _descent_config(**kw):
+    return DescentConfig(**{"estimator": "esg:arch", "steps": 4,
+                            "schedule": Schedule("constant", 0.1), **kw})
+
+
+def _experiment_spec(**kw):
+    return ExperimentSpec(**{"name": "x", "problem": "slice:4", "budget": 10, "n_trials": 2,
+                             "methods": (MethodSpec("esg:arch", 0.1),), **kw})
+
+
+# (field, least value, a build that takes the value)
+_COUNTS = [
+    ("steps", 1, lambda v: _descent_config(steps=v)),
+    ("seed", 0, lambda v: _descent_config(seed=v)),
+    ("snapshot_every", 1, lambda v: _descent_config(snapshot_every=v)),
+    ("n_trials", 1, lambda v: run_repeated(_descent_config(), parse_problem("slice:4"), v, 0)),
+    ("base_seed", 0, lambda v: run_repeated(_descent_config(), parse_problem("slice:4"), 2, v)),
+    ("budget", 1, lambda v: _experiment_spec(budget=v)),
+    ("n_trials", 1, lambda v: _experiment_spec(n_trials=v)),
+    ("base_seed", 0, lambda v: _experiment_spec(base_seed=v)),
+    ("grid_points", 2, lambda v: _experiment_spec(grid_points=v)),
+]
+
+
+@pytest.mark.parametrize("name, least, build", _COUNTS,
+                         ids=[f"{i}-{c[0]}" for i, c in enumerate(_COUNTS)])
+def test_counts_must_be_integers(name, least, build):
+    # A fractional count is refused, not truncated; an integral float passes.
+    for bad in (2.5, least + 0.5, least - 1, "3"):
+        with pytest.raises(ConfigError, match=name):
+            build(bad)
+    build(3.0)
+    build(least)
 
 
 def _descent_dict(**kw):
