@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError
-from .estimators import Estimator, _count, make_estimator
+from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError, _count
+from .estimators import Estimator, make_estimator
 from .oracles import Oracle, ProblemSpec, _TrialOracles
 
 __all__ = [

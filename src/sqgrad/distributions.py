@@ -265,8 +265,8 @@ class GaussianMixture(SymmetricDistribution):
 
     def _density(self, z):
         # (exp(-0.5 ((z - m) / s) ** 2) + exp(-0.5 ((z + m) / s) ** 2))
-        # / (2 s sqrt(2 pi)), evaluated in place: the bigauss encoding
-        # table calls it on 64-row blocks of a 2049 x 1536 grid.
+        # / (2 s sqrt(2 pi)), evaluated in place, so a large grid needs
+        # one array of its size.
         m, s = self.center, self.scale
         a = self._bump(z - m)
         a += self._bump(z + m)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises them."""
 
 
 class SqgradError(Exception):
@@ -47,3 +48,15 @@ class ConfigError(SqgradError, ValueError):
 
 class EmptyInputError(SqgradError, ValueError):
     """An aggregation was asked to summarise zero inputs."""
+
+
+def _count(name: str, value, least: int = 1, error: type[Exception] = DomainError) -> int:
+    """``value`` as an int; ``error`` naming it unless it is an integer
+    (an integral float passes) of at least ``least``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return count

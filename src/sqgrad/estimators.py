@@ -62,6 +62,7 @@ from .errors import (
     DomainError,
     EncodingError,
     TupleError,
+    _count,
 )
 from .oracles import Oracle
 from .tuples import GoodTuple, get_tuple
@@ -98,18 +99,6 @@ def _worker_cap() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _count(name: str, value, least: int = 1, error: type[Exception] = DomainError) -> int:
-    """``value`` as an int; ``error`` naming it unless it is an integer
-    (an integral float passes) of at least ``least``."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != value or count < least:
-        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)

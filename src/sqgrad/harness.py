@@ -29,8 +29,8 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
-from .errors import ConfigError, EmptyInputError, SqgradError
-from .estimators import _count, _worker_cap, make_estimator
+from .errors import ConfigError, EmptyInputError, SqgradError, _count
+from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
 from .tuples import register_tuple
 

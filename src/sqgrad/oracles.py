@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError
+from .errors import ConfigError, DimensionMismatchError, DomainError, _count
 
 __all__ = [
     "Oracle",
@@ -59,9 +59,7 @@ class Oracle:
     """Base class: dimension, vectorised evaluation, call counting."""
 
     def __init__(self, d: int):
-        if int(d) < 1:
-            raise DomainError("oracle dimension must be at least 1")
-        self.d = int(d)
+        self.d = _count("oracle dimension", d)
         self._lock = threading.Lock()
         self._calls = 0
 
@@ -307,9 +305,7 @@ class _TrialOracles(Oracle):
 
 def make_knapsack(d: int, rng: np.random.Generator) -> KnapsackOracle:
     """Fresh knapsack instance with weights drawn uniformly from {1..9}."""
-    if int(d) < 1:
-        raise DomainError("d must be at least 1")
-    return KnapsackOracle(rng.integers(1, 10, size=int(d)))
+    return KnapsackOracle(rng.integers(1, 10, size=_count("d", d)))
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ longjump  max(0, 2z - 1)               atoms at -1 and +1    uniform cdf on [-1/
 
 The bi-Gaussian construction works because the mixture's characteristic
 function vanishes at frequency 1/2, which kills the oscillating part of
-the smoothed f; its encoding cdf has no closed form and is tabulated by
-quadrature once per process, on the first lookup of ``bigauss_cosine``.
-The build fills its 2049 x 1536 density matrix in row blocks, so it
-holds that one 25 MB matrix and little else.
+the smoothed f; its encoding cdf has no closed form.  Its 4097 values
+were tabulated once by quadrature and ship with the package as
+``bigauss_cosine_cdf.npy``, so the first lookup of ``bigauss_cosine``
+loads 33 KB and computes only the PCHIP interpolant, with the same bits
+under every BLAS kernel.
 
 The five are rows of one table, ``_BUILDERS``, each built on its first
 lookup through :func:`get_tuple`; :func:`register_tuple` adds a row.
@@ -42,15 +43,16 @@ Each weight function is written once, on float arrays, and one adapter,
 :class:`GoodTuple`: a scalar in, a float out.
 
 Since sigma is symmetric, (f * sigma')(z) = E f(z + eps), so both
-checks compute E f(e + eps) by the same composite Gauss-Legendre rule
-as the bi-Gaussian table.  The module needs numpy only.
+checks compute E f(e + eps) by the composite Gauss-Legendre rule that
+made the bi-Gaussian table.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -170,8 +172,22 @@ def _bigauss_fp(t):
 _BIGAUSS_CENTER = math.pi
 _BIGAUSS_SCALE = 1.0
 _BIGAUSS_GRID_POINTS = 4097
-# Grid rows of the density matrix filled per block while it is tabulated.
-_BIGAUSS_BLOCK_ROWS = 64
+# The bi-Gaussian encoding cdf at the 4097 grid points, float64.  For
+# z >= 0 it is 1 - B(z) with
+#
+#     B(z) = integral_0^inf (1 - cos(w/2)) sigma'(z + w) dw,
+#
+# because the oscillating part of f integrates to zero against sigma
+# (the mixture centers sit at +-pi, so its characteristic function
+# vanishes at frequency 1/2; the same fact makes the cdf exactly
+# symmetric, which fills in z < 0).  The file was made once with
+# np.save from a composite Gauss-Legendre rule, 64 panels of 24 nodes
+# on [0, pi + 12], summed as one matrix-vector product over the
+# (2049, 1536) mixture densities and clipped to [0, 1];
+# tests/test_tuples.py::_one_shot_bigauss_table repeats that quadrature
+# and pins the file bit for bit.  Loading the values keeps their bits
+# independent of the BLAS kernel that would sum that product.
+_BIGAUSS_CDF_FILE = Path(__file__).with_name("bigauss_cosine_cdf.npy")
 
 
 def _gauss_legendre_panels(lo: float, hi: float, n_panels: int, order: int):
@@ -185,54 +201,18 @@ def _gauss_legendre_panels(lo: float, hi: float, n_panels: int, order: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=1)
 def _bigauss_sigma_hat() -> TabulatedSymmetric:
-    """Tabulate the bi-Gaussian encoding cdf by quadrature.
-
-    For z >= 0 the smoothed weight splits as 1 - B(z) with
-
-        B(z) = integral_0^inf (1 - cos(w/2)) sigma'(z + w) dw,
-
-    because the oscillating part of f integrates to zero against sigma
-    (the mixture centers sit at +-pi, so its characteristic function
-    vanishes at frequency 1/2; the same fact makes the cdf exactly
-    symmetric, which fills in z < 0).  The integrand is smooth, so a
-    composite Gauss-Legendre rule resolves it to near machine
-    precision.
-
-    The (2049, 1536) matrix of mixture densities at grid point + node
-    is allocated once and filled ``_BIGAUSS_BLOCK_ROWS`` rows at a time,
-    so only block-sized temporaries sit beside it.  The quadrature stays
-    one matrix-vector product over the whole matrix: one product per
-    block would leave each row's sum to how BLAS splits the rows.  Every
-    entry comes from the same elementwise operations as building the
-    matrix in one piece, so the table has the same bits.
-    """
-    m, s = _BIGAUSS_CENTER, _BIGAUSS_SCALE
-    sigma = GaussianMixture(m, s)
-    half_span = m + 8.0 * s
-    n_pos = _BIGAUSS_GRID_POINTS // 2 + 1
-    z_pos = np.linspace(0.0, half_span, n_pos)
-    # Integration range: the mixture density is negligible past m + 12 s.
-    w_nodes, w_weights = _gauss_legendre_panels(0.0, m + 12.0 * s, 64, 24)
-    f_vals = 1.0 - np.cos(0.5 * w_nodes)
-    dens = np.empty((n_pos, w_nodes.size))
-    for i in range(0, n_pos, _BIGAUSS_BLOCK_ROWS):
-        block = slice(i, i + _BIGAUSS_BLOCK_ROWS)
-        dens[block] = sigma.density(z_pos[block, None] + w_nodes[None, :])
-    b = dens @ (w_weights * f_vals)
-    vals_pos = 1.0 - b
+    """The bi-Gaussian encoding cdf, PCHIP through the shipped table on
+    4097 points over +-(pi + 8)."""
+    half_span = _BIGAUSS_CENTER + 8.0 * _BIGAUSS_SCALE
     grid = np.linspace(-half_span, half_span, _BIGAUSS_GRID_POINTS)
-    vals = np.empty(_BIGAUSS_GRID_POINTS)
-    vals[n_pos - 1 :] = vals_pos
-    vals[: n_pos - 1] = 1.0 - vals_pos[:0:-1]
-    return TabulatedSymmetric(grid, np.clip(vals, 0.0, 1.0))
+    return TabulatedSymmetric(grid, np.load(_BIGAUSS_CDF_FILE))
 
 
 # ---------- registry ----------
 
 # The shipped tuples, each built on its first lookup: bigauss_cosine
-# tabulates its encoding then, and not at import.  register_tuple adds
+# loads its encoding table then, and not at import.  register_tuple adds
 # user-built rows.
 _BUILDERS: dict[str, Callable[[], GoodTuple]] = {
     # Tent weight on [0, 1] smoothed by uniform noise on [-1/2, 1/2].
@@ -245,9 +225,10 @@ _BUILDERS: dict[str, Callable[[], GoodTuple]] = {
     "cosine": lambda: GoodTuple("cosine", _cosine_f, _cosine_fp, UniformInterval(0.5),
                                 RaisedCosine(0.5), (0.0, 1.0)),
     # 1 - cos(z/2) smoothed by an equal mixture of N(+-pi, 1).  Its
-    # encoding cdf has no closed form: 4097 grid points over +-(pi + 8),
-    # interpolated by PCHIP and inverted in the cell that brackets each
-    # quantile, with the bits of bisecting the interpolant.
+    # encoding cdf has no closed form: the shipped table's 4097 grid
+    # points over +-(pi + 8), interpolated by PCHIP and inverted in the
+    # cell that brackets each quantile, with the bits of bisecting the
+    # interpolant.
     "bigauss_cosine": lambda: GoodTuple(
         "bigauss_cosine", _bigauss_f, _bigauss_fp,
         GaussianMixture(_BIGAUSS_CENTER, _BIGAUSS_SCALE), _bigauss_sigma_hat(), (0.0,)),

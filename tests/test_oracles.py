@@ -405,3 +405,21 @@ def test_trial_oracles_reject_uneven_blocks():
     with pytest.raises(DimensionMismatchError):
         stack.query(np.ones(6))
     assert [o.call_count for o in members] == [0] * len(members)
+
+
+_BY_DIMENSION = {
+    "slice": SymmetricSliceOracle,
+    "knapsack": lambda d: make_knapsack(d, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("kind", _BY_DIMENSION)
+@pytest.mark.parametrize("d", [2.5, 3.7, 0])
+def test_oracle_dimension_must_be_a_positive_integer(kind, d):
+    with pytest.raises(DomainError):
+        _BY_DIMENSION[kind](d)
+
+
+@pytest.mark.parametrize("kind", _BY_DIMENSION)
+def test_oracle_dimension_accepts_an_integral_float(kind):
+    assert _BY_DIMENSION[kind](3.0).d == 3

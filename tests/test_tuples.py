@@ -299,9 +299,8 @@ def test_bigauss_closed_form_self_check():
 
 
 def _one_shot_bigauss_table():
-    """The bigauss encoding table with its density matrix built in one
-    piece: the same quadrature as the shipped build, without the row
-    blocks."""
+    """The bigauss encoding table by the quadrature that made the
+    shipped file, its density matrix built in one piece."""
     m, s, n_grid = math.pi, 1.0, 4097
     half_span = m + 8.0 * s
     n_pos = n_grid // 2 + 1
@@ -322,8 +321,9 @@ def _one_shot_bigauss_table():
 
 
 def test_bigauss_table_matches_the_one_shot_build():
-    # The shipped build fills the density matrix in row blocks; every
-    # entry and the one product over it must keep the one-shot bits.
+    # The shipped file holds the quadrature's bits.  The reference sums
+    # its product through BLAS, so this holds on kernels that sum it as
+    # the one that made the file did (Haswell, SkylakeX and Zen do).
     shipped = get_tuple("bigauss_cosine").sigma_hat
     ref = _one_shot_bigauss_table()
     for name in ("grid", "_values", "_cells"):
@@ -333,16 +333,48 @@ def test_bigauss_table_matches_the_one_shot_build():
 
 
 def test_bigauss_table_build_memory():
-    # One (2049, 1536) float matrix is 25.2 MB and the row blocks add
-    # about 2.4 MB; building the matrix in one piece holds three such
-    # matrices at once.
+    # The build loads 33 KB of values and computes the PCHIP cells; it
+    # runs no quadrature, whose density matrix alone is 25.2 MB.
     tracemalloc.start()
     try:
-        _bigauss_sigma_hat.__wrapped__()
+        _bigauss_sigma_hat()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6, peak
+    assert peak < 1e6, peak
+
+
+_BIGAUSS_TABLE_SHA256 = "a9131086863c921ad82e389d6af08d85ed84aaed8603dae347c89ffdc5eed7d0"
+
+
+def _numpy_uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_bigauss_table_bits_do_not_depend_on_the_blas_kernel():
+    # Sandybridge's kernel sums a matrix-vector product in another order
+    # than Haswell's, so a table computed at run time would change bits.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import hashlib; from sqgrad.tuples import get_tuple; "
+            "print(hashlib.sha256(get_tuple('bigauss_cosine').sigma_hat._values"
+            ".tobytes()).hexdigest())")
+    digests = []
+    for coretype in (None, "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests == [_BIGAUSS_TABLE_SHA256] * 2, digests
 
 
 _SCIPY_BLOCKED = """
