@@ -264,25 +264,9 @@ class GaussianMixture(SymmetricDistribution):
         return 0.5 * (_ndtr((z - m) / s) + _ndtr((z + m) / s))
 
     def _density(self, z):
-        # (exp(-0.5 ((z - m) / s) ** 2) + exp(-0.5 ((z + m) / s) ** 2))
-        # / (2 s sqrt(2 pi)), evaluated in place, so a large grid needs
-        # one array of its size.
         m, s = self.center, self.scale
-        a = self._bump(z - m)
-        a += self._bump(z + m)
-        a /= 2.0 * s * math.sqrt(2.0 * math.pi)
-        return a
-
-    def _bump(self, t):
-        """exp(-0.5 (t / scale) ** 2), overwriting an array t.
-
-        A 0-d z reaches here as a numpy scalar, whose ``** 2`` is pow()
-        and not an array's square; the operators keep each one's bits.
-        """
-        t /= self.scale
-        t **= 2
-        t *= -0.5
-        return np.exp(t, out=t) if t.ndim else np.exp(t)
+        bumps = np.exp(-0.5 * ((z - m) / s) ** 2) + np.exp(-0.5 * ((z + m) / s) ** 2)
+        return bumps / (2.0 * s * math.sqrt(2.0 * math.pi))
 
     def draw(self, rng, out):
         # The component's sign first, then the normal, as one stream.

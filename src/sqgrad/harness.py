@@ -4,7 +4,9 @@ An experiment pits several estimator configurations against one problem
 family under a shared oracle-call budget.  Every trial records the raw
 oracle response per call; the harness aligns the running best onto a
 common call grid (carrying the last value forward between calls) and
-reports the median with the interquartile band across trials.
+reports the median with the interquartile band across trials.  The
+spec dataclasses declare every default and range once, and check a spec
+however it is built; the JSON reader checks only names and JSON types.
 
 Outputs are written deterministically: the CSV is sorted, floats are
 printed with repr-faithful precision, and the SVG plot is assembled
@@ -23,12 +25,13 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
+from .descent import (DescentConfig, Schedule, Trajectory, _initial_states, _run_group,
+                      _trial_oracles, derive_seed)
 from .errors import ConfigError, EmptyInputError, SqgradError, _count
 from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
@@ -69,6 +72,13 @@ class MethodSpec:
     def display(self) -> str:
         return self.label if self.label else self.estimator
 
+    def descent_config(self, **run) -> DescentConfig:
+        """This method's descent run, with the run's other settings; a
+        clamp so thin that 1 - clamp is 1 fails the estimator's bounds."""
+        config = DescentConfig(self.estimator, schedule=Schedule(self.schedule, self.eta), **run)
+        make_estimator(self.estimator).state_bounds(config.clamp)
+        return config
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -79,8 +89,8 @@ class ExperimentSpec:
     methods: tuple[MethodSpec, ...]
     base_seed: int = 0
     direction: str = "maximize"
-    x0: float = 0.5
-    clamp: float = 1e-4
+    x0: float = DescentConfig.x0
+    clamp: float = DescentConfig.clamp
     grid_points: int = 512
 
     def __post_init__(self):
@@ -104,27 +114,20 @@ class ExperimentSpec:
             raise ConfigError("method labels must be unique within an experiment")
         for mi in range(len(self.methods)):
             self.method_config(mi)
+        parse_problem(self.problem)
 
     def method_config(self, mi: int) -> DescentConfig:
         """Method mi's descent run, the budget spent in whole steps; the
         seed is set per trial."""
         method = self.methods[mi]
-        est = make_estimator(method.estimator)
-        steps = int(self.budget) // est.queries_per_sample
+        steps = int(self.budget) // make_estimator(method.estimator).queries_per_sample
         if steps < 1:
             raise ConfigError(
                 f"budget {self.budget} cannot fund one step of {method.estimator}"
             )
-        config = DescentConfig(
-            estimator=method.estimator,
-            steps=steps,
-            schedule=Schedule(method.schedule, method.eta),
-            direction=self.direction,
-            x0=self.x0,
-            clamp=self.clamp,
+        return method.descent_config(
+            steps=steps, direction=self.direction, x0=self.x0, clamp=self.clamp
         )
-        est.state_bounds(config.clamp)  # rejects a clamp so thin that 1 - clamp is 1
-        return config
 
 
 @dataclass
@@ -149,10 +152,27 @@ class ExperimentResult:
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string",
                list: "an array", dict: "an object"}
 
+# The JSON kind of every field each object kind takes; the dataclass
+# defaults say which fields are optional and which take null.
+_METHOD_FIELDS = {"estimator": str, "eta": float, "schedule": str, "label": str}
+_EXPERIMENT_FIELDS = {
+    "name": str, "problem": str, "budget": int, "n_trials": int, "methods": list,
+    "base_seed": int, "direction": str, "x0": float, "clamp": float, "grid_points": int,
+}
+# A descent file is a method without its label, the problem, and the run.
+_DESCENT_FIELDS = {
+    "problem": str, "estimator": str, "eta": float, "schedule": str, "steps": int,
+    "direction": str, "x0": tuple, "clamp": float, "seed": int, "snapshot_every": int,
+}
+
 
 def _checked(key: str, value, kind: type):
     """``value`` as ``kind`` if its JSON type fits: an integer field takes
-    a number with no fractional part, and booleans are not numbers."""
+    a number with no fractional part, and booleans are not numbers; a
+    ``tuple`` field takes a number or an array of numbers."""
+    if kind is tuple and isinstance(value, list):
+        return tuple(_checked(key, v, float) for v in value)
+    kind = float if kind is tuple else kind
     if kind in (int, float):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
@@ -163,17 +183,23 @@ def _checked(key: str, value, kind: type):
     return kind(value)
 
 
-def _take(raw: dict, key: str, kind: type, default=None, required: bool = False):
-    """Pop a field of a JSON object, checked by ``_checked``; ``null``
-    stands for the default where that is None."""
-    if key not in raw:
-        if required:
-            raise ConfigError(f"missing required field {key!r}")
-        return default
-    value = raw.pop(key)
-    if value is None and default is None and not required:
-        return None
-    return _checked(key, value, kind)
+def _read_fields(raw: dict, kinds: dict, what: str, *classes) -> dict:
+    """The fields a JSON object sets, each checked by ``_checked`` against
+    ``kinds``, so the others keep their dataclass defaults.  A field with
+    no default in ``classes`` is required; only a None default takes null."""
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {unknown}")
+    defaults = {f.name: f.default for cls in classes for f in fields(cls)
+                if f.default is not MISSING}
+    for name in kinds:
+        if name not in raw and name not in defaults:
+            raise ConfigError(f"missing required field {name!r}")
+    return {
+        name: None if value is None and defaults.get(name, MISSING) is None
+        else _checked(name, value, kinds[name])
+        for name, value in raw.items()
+    }
 
 
 def _read_json(path, what: str) -> dict:
@@ -187,88 +213,44 @@ def _read_json(path, what: str) -> dict:
     return raw
 
 
-def _method_from_dict(raw: dict) -> MethodSpec:
-    spec = MethodSpec(
-        estimator=_take(raw, "estimator", str, required=True),
-        eta=_take(raw, "eta", float, required=True),
-        schedule=_take(raw, "schedule", str, "constant"),
-        label=_take(raw, "label", str),
-    )
-    if raw:
-        raise ConfigError(f"unknown method fields: {sorted(raw)}")
-    return spec
-
-
 def load_experiment_spec(path) -> ExperimentSpec:
     """Read an experiment description from JSON.
 
     Required: name, problem, budget, n_trials, methods (each with
-    estimator and eta).  Optional: base_seed, direction, x0, clamp,
-    grid_points, per-method schedule and label.  Unknown fields are
-    rejected rather than ignored, and so is any spec that cannot run:
+    estimator and eta); a field the file leaves out keeps its default.
+    Unknown fields are rejected, and so is any spec that cannot run:
     each error is a ``ConfigError`` that names the file and the field.
     """
     raw = _read_json(path, "experiment spec")
     try:
-        methods_raw = _take(raw, "methods", list, required=True)
-        spec = ExperimentSpec(
-            name=_take(raw, "name", str, required=True),
-            problem=_take(raw, "problem", str, required=True),
-            budget=_take(raw, "budget", int, required=True),
-            n_trials=_take(raw, "n_trials", int, required=True),
-            methods=tuple(
-                _method_from_dict(_checked(f"methods[{i}]", m, dict))
-                for i, m in enumerate(methods_raw)
-            ),
-            base_seed=_take(raw, "base_seed", int, 0),
-            direction=_take(raw, "direction", str, "maximize"),
-            x0=_take(raw, "x0", float, 0.5),
-            clamp=_take(raw, "clamp", float, 1e-4),
-            grid_points=_take(raw, "grid_points", int, 512),
+        spec = _read_fields(raw, _EXPERIMENT_FIELDS, "experiment", ExperimentSpec)
+        spec["methods"] = tuple(
+            MethodSpec(**_read_fields(_checked(f"methods[{i}]", m, dict), _METHOD_FIELDS,
+                                      "method", MethodSpec))
+            for i, m in enumerate(spec["methods"])
         )
-        if raw:
-            raise ConfigError(f"unknown experiment fields: {sorted(raw)}")
-        parse_problem(spec.problem)
+        return ExperimentSpec(**spec)
     except SqgradError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return spec
 
 
 def load_descent_config(path) -> tuple[DescentConfig, ProblemSpec]:
-    """Read a single-run descent description from JSON; like
+    """Read a single-run descent description from JSON: a method but its
+    label, the problem, and the rest of a ``DescentConfig``.  Like
     ``load_experiment_spec``, it rejects at load what cannot run."""
     raw = _read_json(path, "descent config")
     try:
-        problem = parse_problem(_take(raw, "problem", str, required=True))
-        x0 = raw.pop("x0", 0.5)
-        config = DescentConfig(
-            estimator=_take(raw, "estimator", str, required=True),
-            steps=_take(raw, "steps", int, required=True),
-            schedule=Schedule(
-                _take(raw, "schedule", str, "constant"),
-                _take(raw, "eta", float, required=True),
-            ),
-            direction=_take(raw, "direction", str, "minimize"),
-            x0=(tuple(_checked("x0", v, float) for v in x0)
-                if isinstance(x0, list) else _checked("x0", x0, float)),
-            clamp=_take(raw, "clamp", float, 1e-4),
-            seed=_take(raw, "seed", int, 0),
-            snapshot_every=_take(raw, "snapshot_every", int),
-        )
-        if raw:
-            raise ConfigError(f"unknown descent fields: {sorted(raw)}")
-        make_estimator(config.estimator).state_bounds(config.clamp)
-        if isinstance(config.x0, tuple) and len(config.x0) != problem.d:
-            raise ConfigError(
-                f"x0 has {len(config.x0)} coordinates but {problem.name} "
-                f"has dimension {problem.d}"
-            )
+        run = _read_fields(raw, _DESCENT_FIELDS, "descent", MethodSpec, DescentConfig)
+        problem = parse_problem(run.pop("problem"))
+        method = MethodSpec(**{name: run.pop(name) for name in _METHOD_FIELDS if name in run})
+        config = method.descent_config(**run)
+        _initial_states(make_estimator(config.estimator), config, 1, problem.d)  # x0's length must be d
     except SqgradError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config, problem
 
 
-def call_grid(budget: int, grid_points: int = 512) -> np.ndarray:
+def call_grid(budget: int, grid_points: int = ExperimentSpec.grid_points) -> np.ndarray:
     """Distinct integer call counts from 1 to the budget, at most
     grid_points of them."""
     budget = _count("budget", budget, 1, ConfigError)

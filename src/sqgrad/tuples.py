@@ -68,7 +68,7 @@ from .distributions import (
     UniformInterval,
     _maybe_scalar,
 )
-from .errors import ConfigError, DomainError, NoDensityError
+from .errors import ConfigError, DomainError, NoDensityError, _count
 
 __all__ = [
     "GoodTuple",
@@ -335,8 +335,7 @@ def validate_tuple(
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise DomainError("calibration grid must lie strictly inside (0, 1)")
-    if int(n_samples) < 1:
-        raise DomainError("n_samples must be at least 1")
+    n_samples = _count("n_samples", n_samples)
 
     es = np.atleast_1d(tup.sigma_hat.inv_cdf(xs))
     if method == "quadrature":

@@ -387,6 +387,10 @@ def test_experiment_spec_validation():
         ExperimentSpec("x", "slice:4", 10, 3, ())
     with pytest.raises(ConfigError):
         ExperimentSpec("x", "slice:4", 10, 3, m, grid_points=1)
+    # The problem is parsed when the spec is built, as a loaded spec's
+    # is, and not first when it runs.
+    with pytest.raises(ConfigError, match="cube"):
+        ExperimentSpec("x", "cube:3", 10, 3, m)
 
 
 def _descent_config(**kw):
@@ -488,6 +492,82 @@ def test_integral_numbers_load_as_integers(tmp_path):
     spec = load_experiment_spec(_write_spec(tmp_path, budget=40.0, n_trials=3))
     assert spec.budget == 40 and type(spec.budget) is int
     assert spec == load_experiment_spec(_write_spec(tmp_path))
+
+
+# Each object kind's required fields, and README's default of every
+# optional one.
+_REQUIRED = {
+    "experiment": {"name": "x", "problem": "slice:4", "budget": 10, "n_trials": 2,
+                   "methods": [{"estimator": "esg:arch", "eta": 0.1}]},
+    "method": {"estimator": "esg:arch", "eta": 0.1},
+    "descend": {"problem": "slice:4", "estimator": "esg:arch", "steps": 4, "eta": 0.1},
+}
+_README_DEFAULTS = {
+    "experiment": {"base_seed": 0, "direction": "maximize", "x0": 0.5, "clamp": 1e-4,
+                   "grid_points": 512},
+    "method": {"schedule": "constant", "label": None},
+    "descend": {"schedule": "constant", "direction": "minimize", "x0": 0.5, "clamp": 1e-4,
+                "seed": 0, "snapshot_every": None},
+}
+_FIELDS = {"experiment": harness._EXPERIMENT_FIELDS, "method": harness._METHOD_FIELDS,
+           "descend": harness._DESCENT_FIELDS}
+
+
+@pytest.mark.parametrize("kind", sorted(_README_DEFAULTS))
+def test_optional_fields_written_at_their_documented_defaults_change_nothing(tmp_path, kind):
+    assert set(_REQUIRED[kind]) | set(_README_DEFAULTS[kind]) == set(_FIELDS[kind])
+    if kind == "method":
+        required = {**_REQUIRED["experiment"], "methods": [_REQUIRED["method"]]}
+        explicit = {**required, "methods": [{**_REQUIRED["method"], **_README_DEFAULTS["method"]}]}
+    else:
+        required = _REQUIRED[kind]
+        explicit = {**required, **_README_DEFAULTS[kind]}
+    loaded = []
+    for name, data in (("required", required), ("explicit", explicit)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        if kind == "descend":
+            config, problem = load_descent_config(path)
+            loaded.append((config, problem.name))
+        else:
+            loaded.append(load_experiment_spec(path))
+    assert loaded[0] == loaded[1]
+
+
+def test_a_descent_file_takes_no_label(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**_REQUIRED["descend"], "label": "mine"}))
+    with pytest.raises(ConfigError, match=r"run\.json: unknown descent fields: \['label'\]"):
+        load_descent_config(path)
+
+
+_SHIPPED_METHODS = [f"{head}:{name}" for head in ("esg", "encoded_esg")
+                    for name in tuples.TUPLE_NAMES] + ["naive", "reinforce", "arm", "disarm"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(problem=st.tuples(st.sampled_from(["slice", "knapsack"]), st.integers(1, 5)),
+       budget=st.integers(2, 16), n_trials=st.integers(1, 3),
+       base_seed=st.integers(0, 2**32 - 1), x0=st.sampled_from([0.1, 0.5, 0.9]),
+       methods=st.lists(st.sampled_from(_SHIPPED_METHODS), min_size=1, max_size=3,
+                        unique=True))
+def test_the_worker_count_never_changes_the_outputs(
+        monkeypatch, problem, budget, n_trials, base_seed, x0, methods):
+    data = {"name": "drawn", "problem": "%s:%d" % problem, "budget": budget,
+            "n_trials": n_trials, "base_seed": base_seed, "x0": x0,
+            "methods": [{"estimator": m, "eta": 0.1} for m in methods]}
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        spec = load_experiment_spec(path)
+        for workers in ("1", "2"):
+            monkeypatch.setenv(ENV_MAX_WORKERS, workers)
+            paths = write_outputs(run_experiment(spec), os.path.join(tmp, workers))
+            outputs.append([Path(p).read_bytes() for p in paths])
+    assert outputs[0] == outputs[1]
 
 
 # A tiny valid spec of each kind: at most 8 calls and 2 trials a method.

@@ -202,6 +202,15 @@ def test_validate_tuple_argument_errors():
                            rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [2.5, "7", None, 1e400])
+def test_validate_tuple_sample_count_must_be_an_integer(n):
+    # A count that is not an integer is refused by name, not left to
+    # fail later inside the sampler as a bare TypeError.
+    with pytest.raises(DomainError, match="n_samples"):
+        validate_tuple(get_tuple("arch"), method="monte_carlo", n_samples=n,
+                       rng=np.random.default_rng(0))
+
+
 def test_encoding_laws_match_families():
     # spike smooths to the triangular cdf; hand value at z = 1/4.
     assert get_tuple("spike").sigma_hat.cdf(0.25) == pytest.approx(0.875)
