@@ -178,6 +178,17 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     to end once per group; an oracle class with its own ``_values`` is
     asked block by block.
 
+    The map of the states through the estimator's ``_at_state`` is
+    kept between steps and handed to ``evaluate``.  It is built once,
+    from the initial states; before each later step only the entries
+    whose float64 bits changed, compared as int64 so that a sign flip of
+    zero counts, are mapped again and written back, and a step where
+    none changed maps nothing.  Each map entry depends on its own state
+    entry alone, so the kept map has the bits of mapping every state
+    afresh, and a mapping error, such as a vanishing encoding density,
+    is raised at the same step.  A method whose map is the states
+    themselves keeps no map.
+
     Every sample costs ``queries_per_sample`` oracle calls.  The counters
     of the distinct oracles are read before and after the loop, and a
     group whose oracles moved by anything else raises ``DomainError``;
@@ -206,6 +217,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     sign = 1.0 if head.direction == "maximize" else -1.0
 
     states, lo, hi = _initial_states(est, head, m, d)
+    mapped, at = states, est._at_state(states)
     rngs = [derive_rng(cfg.seed) for cfg in configs]
 
     raw = np.empty((m, steps * qps))
@@ -221,7 +233,15 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
         for rng, row in zip(rngs, rows):
             est.draw_noise(rng, d, draws=row)
         noise = est.noise_law.from_draws(draws)
-        batch = est.evaluate(states, noise, oracle)
+        if at is mapped:  # an identity map follows the states
+            at = states
+        else:
+            moved = states.view(np.int64) != mapped.view(np.int64)
+            if moved.any():
+                for kept, fresh in zip(at, est._at_state(states[moved])):
+                    kept[moved] = fresh
+        mapped = states
+        batch = est.evaluate(states, noise, oracle, at=at)
         states = np.minimum(np.maximum(states + sign * eta * batch.grads, lo), hi)
         if not np.isfinite(states).all():
             raise DomainError(

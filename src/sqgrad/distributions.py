@@ -115,6 +115,11 @@ class SymmetricDistribution:
     raises :class:`NoDensityError` / :class:`NotInvertibleError` instead
     of returning garbage.  Laws without a closed-form sampler inherit
     inverse-transform sampling.
+
+    ``inv_cdf`` and ``density`` are elementwise to the bit: each entry
+    of an array gets the bits it would get alone, whatever the other
+    entries of the call, so a caller may map any subset of entries again
+    and keep the rest.  Descent does, between steps.
     """
 
     has_density: bool = True

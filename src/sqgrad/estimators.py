@@ -256,22 +256,32 @@ class Estimator:
     # ---------- kernel ----------
 
     def _at_state(self, states: np.ndarray):
-        """What a method needs of the (m, d) states alone."""
+        """What a method needs of the states alone: the states themselves,
+        or a tuple of new arrays of their shape.  Each entry of each array
+        depends on the same state entry alone, with the bits it gets when
+        mapped by itself, so descent can keep the map and re-map only the
+        entries that moved."""
         return states
 
     def _rows(self, at, noise: np.ndarray, oracle: Oracle) -> SampleBatch:
         """One realisation per noise row from ``_at_state``'s map."""
         raise NotImplementedError
 
-    def evaluate(self, states: np.ndarray, noise: np.ndarray, oracle: Oracle) -> SampleBatch:
+    def evaluate(
+        self, states: np.ndarray, noise: np.ndarray, oracle: Oracle, *, at=None
+    ) -> SampleBatch:
         """Evaluate one realisation per state row at the given noise.
 
         ``states`` and ``noise`` are (m, d) float arrays and every state
         lies in the estimator's domain; callers have checked that.
         ``_at_state`` maps the states once, or their one row when they
-        are broadcast from one state (stride 0).  Distinct rows then run
-        as one pass of ``_rows``, one ``oracle`` batch; a lockstep group
-        with per-trial instances passes them stacked, one block per row.
+        are broadcast from one state (stride 0).  A caller that keeps
+        the map of distinct rows passes it as ``at``, which must equal
+        ``_at_state(states)`` bit for bit; descent does, and re-maps
+        between steps only the entries that moved.  Distinct rows then
+        run as one pass of ``_rows``, one ``oracle`` batch; a lockstep
+        group with per-trial instances passes them stacked, one block
+        per row.
         Broadcast rows run in blocks of about ``_BLOCK_ENTRIES`` entries,
         on up to ``SQGRAD_MAX_WORKERS`` threads that end with this call;
         the oracle answers one block at a time, under its own lock.  The
@@ -279,7 +289,7 @@ class Estimator:
         rows, whatever the worker count.
         """
         if states.strides[0] != 0:
-            return self._rows(self._at_state(states), noise, oracle)
+            return self._rows(self._at_state(states) if at is None else at, noise, oracle)
         at = self._at_state(states[:1])
         n, d = noise.shape
         n_blocks = -(-n * d // _BLOCK_ENTRIES)
@@ -422,13 +432,14 @@ class _Esg(_ProductEstimator):
 
 class _EncodedEsg(_Esg):
     prefix = "encoded_esg"
+    _at_state = Estimator._at_state
 
     @property
     def encoding(self) -> SymmetricDistribution:
         return self.tup.sigma_hat
 
-    def _at_state(self, e):
-        return e, None
+    def _at_noise(self, e, eps):
+        return super()._at_noise((e, None), eps)
 
 
 class _Naive(_ProductEstimator):
@@ -436,10 +447,11 @@ class _Naive(_ProductEstimator):
     noise_law = UniformInterval(0.5)
 
     def _at_state(self, x):
-        return np.asarray(self.noise_law.inv_cdf(x))
+        return (np.asarray(self.noise_law.inv_cdf(x)),)
 
     def _at_noise(self, at, eps):
-        keys = at + eps >= 0.0
+        (e,) = at
+        keys = e + eps >= 0.0
         return keys, None, np.zeros(keys.shape), None
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -68,6 +69,9 @@ class MethodSpec:
     schedule: str = "constant"
     label: str | None = None
 
+    def __post_init__(self):
+        _check_kinds(self, _METHOD_FIELDS)
+
     @property
     def display(self) -> str:
         return self.label if self.label else self.estimator
@@ -94,6 +98,11 @@ class ExperimentSpec:
     grid_points: int = 512
 
     def __post_init__(self):
+        _check_kinds(self, {k: v for k, v in _EXPERIMENT_FIELDS.items() if k != "methods"})
+        if not isinstance(self.methods, (tuple, list)) or not all(
+            isinstance(m, MethodSpec) for m in self.methods
+        ):
+            raise ConfigError(f"methods must be a tuple of MethodSpec, got {self.methods!r}")
         # The name becomes <out_dir>/<name>.csv and .svg.
         if not self.name or os.path.basename(self.name) != self.name or "\0" in self.name:
             raise ConfigError(f"name {self.name!r} must be a plain file name")
@@ -153,7 +162,8 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string",
                list: "an array", dict: "an object"}
 
 # The JSON kind of every field each object kind takes; the dataclass
-# defaults say which fields are optional and which take null.
+# defaults say which fields are optional and which take null.  The spec
+# dataclasses check their own fields against the same tables.
 _METHOD_FIELDS = {"estimator": str, "eta": float, "schedule": str, "label": str}
 _EXPERIMENT_FIELDS = {
     "name": str, "problem": str, "budget": int, "n_trials": int, "methods": list,
@@ -167,20 +177,32 @@ _DESCENT_FIELDS = {
 
 
 def _checked(key: str, value, kind: type):
-    """``value`` as ``kind`` if its JSON type fits: an integer field takes
-    a number with no fractional part, and booleans are not numbers; a
-    ``tuple`` field takes a number or an array of numbers."""
+    """``value`` as ``kind`` if its JSON type fits: a number is any real
+    number but a boolean, an integer field takes one with no fractional
+    part, and a ``tuple`` field takes a number or an array of numbers."""
     if kind is tuple and isinstance(value, list):
         return tuple(_checked(key, v, float) for v in value)
     kind = float if kind is tuple else kind
     if kind in (int, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, numbers.Integral)
+                     or float(value).is_integer())
     else:
         ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(f"field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return kind(value)
+
+
+def _check_kinds(spec, kinds: dict) -> None:
+    """The type check of a spec however it was built: each field in
+    ``kinds`` must pass ``_checked``, and only a field whose default is
+    None may be None.  A ``ConfigError`` names the first that fails."""
+    defaults = {f.name: f.default for f in fields(spec)}
+    for name, kind in kinds.items():
+        value = getattr(spec, name)
+        if value is not None or defaults[name] is not None:
+            _checked(name, value, kind)
 
 
 def _read_fields(raw: dict, kinds: dict, what: str, *classes) -> dict:

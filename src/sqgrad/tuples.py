@@ -256,7 +256,12 @@ def get_tuple(name: str) -> GoodTuple:
 
 
 def register_tuple(tup: GoodTuple, *, overwrite: bool = False) -> None:
-    """Make a user-built tuple addressable by name."""
+    """Make a user-built tuple addressable by name.
+
+    Its ``sigma_hat.inv_cdf`` and ``sigma_hat.density`` must give each
+    entry of an array the bits it would get alone, as the shipped laws
+    do: descent maps again only the state entries that moved.
+    """
     key = tup.name.lower()
     if key in _BUILDERS and not overwrite:
         raise ConfigError(f"tuple name {tup.name!r} is already taken")

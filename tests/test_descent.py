@@ -14,9 +14,10 @@ from sqgrad.descent import (
     descend,
     run_repeated,
 )
-from sqgrad import tuples
-from sqgrad.distributions import TabulatedSymmetric
-from sqgrad.errors import ConfigError, DomainError, ScheduleError
+from sqgrad import descent, tuples
+from sqgrad.distributions import HalfCosine, TabulatedSymmetric
+from sqgrad.errors import ConfigError, DomainError, ScheduleError, TupleError
+from sqgrad.estimators import Estimator, make_estimator
 from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
 
 CONST = Schedule("constant", 0.1)
@@ -343,3 +344,106 @@ def test_lockstep_group_matches_solo_runs_over_an_uneven_encoding(problem, monke
             (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(*key))])
             for name in ("raw", "snapshots", "final_x"):
                 assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+_SHIPPED = [
+    "esg:spike", "esg:arch", "esg:cosine", "esg:bigauss_cosine", "esg:longjump",
+    "encoded_esg:arch", "naive", "reinforce", "arm", "disarm",
+]
+
+
+def _parts(at) -> list:
+    return [at] if isinstance(at, np.ndarray) else list(at)
+
+
+def _watch_descent(monkeypatch) -> list:
+    """Check every map descent hands ``evaluate`` against a fresh one, bit
+    for bit, and return the number of entries of each later ``_at_state``
+    call of the run's estimator."""
+    sizes = []
+    evaluate = Estimator.evaluate
+
+    def checked(self, states, noise, oracle, *, at=None):
+        fresh = type(self)._at_state(self, states.copy())
+        assert at is not None
+        assert [a.tobytes() for a in _parts(at)] == [f.tobytes() for f in _parts(fresh)]
+        return evaluate(self, states, noise, oracle, at=at)
+
+    def make(spec):
+        est = make_estimator(spec)
+        at_state = est._at_state
+
+        def counted(states):
+            sizes.append(states.size)
+            return at_state(states)
+
+        est._at_state = counted
+        return est
+
+    monkeypatch.setattr(Estimator, "evaluate", checked)
+    monkeypatch.setattr(descent, "make_estimator", make)
+    return sizes
+
+
+@pytest.mark.parametrize("problem", ["slice:5", "knapsack:5"])
+@pytest.mark.parametrize("estimator", _SHIPPED)
+def test_descent_keeps_the_map_of_the_current_states(monkeypatch, estimator, problem):
+    # Knapsack keys with Q = 0 leave their rows still and the clamp holds
+    # coordinates at its bounds, so each step re-maps a different subset.
+    sizes = _watch_descent(monkeypatch)
+    m, d, steps = 3, 5, 60
+    cfg = _config(estimator=estimator, steps=steps, x0=0.3, schedule=Schedule("constant", 0.3))
+    group = run_repeated(cfg, parse_problem(problem), m, 11)
+    assert sum(len(traj.raw) for traj in group) == m * steps * group[0].queries_per_sample
+    assert sizes[0] == m * d and all(0 < n <= m * d for n in sizes)
+
+
+@pytest.mark.parametrize("estimator", _SHIPPED)
+def test_a_run_where_nothing_moves_maps_its_states_once(monkeypatch, estimator):
+    sizes = _watch_descent(monkeypatch)
+    m, d, steps = 3, 4, 30
+    cfgs = [_config(estimator=estimator, steps=steps, x0=0.3, seed=s) for s in range(m)]
+    group = _run_group(cfgs, [TableOracle(np.zeros(1 << d))] * m)
+    assert sizes == [m * d]
+    for traj in group:
+        assert traj.final_x == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "estimator", ["esg:spike", "esg:arch", "esg:cosine", "esg:bigauss_cosine", "esg:longjump"]
+)
+def test_a_run_where_every_entry_moves_maps_them_all_each_step(monkeypatch, estimator):
+    # With Q = 1 every gradient entry is nonzero, and steps this short
+    # never reach the clamp.
+    sizes = _watch_descent(monkeypatch)
+    m, d, steps = 3, 4, 12
+    cfgs = [_config(estimator=estimator, steps=steps, seed=s,
+                    schedule=Schedule("constant", 1e-4)) for s in range(m)]
+    _run_group(cfgs, [TableOracle(np.ones(1 << d))] * m)
+    assert sizes == [m * d] * steps
+
+
+class _Cliff(HalfCosine):
+    """arch's encoding with its density cut to zero above e = 0.1."""
+
+    def _density(self, z):
+        return np.where(z > 0.1, 0.0, super()._density(z))
+
+
+def test_a_density_that_vanishes_after_a_move_stops_that_step(monkeypatch):
+    # The kept map checks each moved entry when it is mapped again, so
+    # the run stops at the first step whose state crosses the cliff,
+    # before that step queries the oracle, as a fresh map would.
+    monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
+    monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
+    tuples.register_tuple(replace(tuples.get_tuple("arch"), name="cliff", sigma_hat=_Cliff(0.5)))
+    d, steps = 4, 200
+    cfg = _config(estimator="esg:arch", steps=steps, x0=0.5, snapshot_every=1,
+                  schedule=Schedule("constant", 1e-3))
+    traj, _ = descend(cfg, TableOracle(np.arange(1.0, 1 + (1 << d))))
+    crossed = np.flatnonzero((HalfCosine(0.5).inv_cdf(traj.snapshots) > 0.1).any(axis=1))
+    assert 1 < crossed[0] < steps
+    oracle = TableOracle(np.arange(1.0, 1 + (1 << d)))
+    with pytest.raises(TupleError, match="cliff: encoding density vanishes"):
+        descend(replace(cfg, estimator="esg:cliff"), oracle)
+    assert oracle.call_count == crossed[0]

@@ -371,6 +371,32 @@ def test_at_noise_rejects_wrong_noise_shape(spec):
     assert oracle.call_count == 0
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_state_map_is_elementwise(spec, data):
+    # Descent re-maps only the entries that moved, so each entry of the
+    # map must have the bits it gets when mapped alone.  esg:cosine's
+    # bisection stops on the widest bracket of the call and bigauss's
+    # replays as many rounds as the narrowest one allows: every entry
+    # must still end after the same rounds in any subset.
+    est = make_estimator(spec)
+    m, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    probs = st.one_of(st.floats(1e-4, 1.0 - 1e-4), st.sampled_from([1e-4, 0.5, 1.0 - 1e-4]))
+    x = np.array(data.draw(st.lists(probs, min_size=m * d, max_size=m * d))).reshape(m, d)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m * d, max_size=m * d)))
+    states = est.encode(x)
+    sub = states[mask.reshape(m, d)]
+    whole, part = est._at_state(states), est._at_state(sub)
+    if whole is states:  # the identity map
+        assert part is sub
+        return
+    assert isinstance(whole, tuple) and len(whole) == len(part)
+    for w, p in zip(whole, part):
+        assert w.shape == states.shape
+        assert w[mask.reshape(m, d)].tobytes() == p.tobytes()
+
+
 def _reference_batch(est, states, noise, oracle):
     """(keys, values, grads, raw) by the per-method formulas as they were
     written before the product kernel, each with its own operation order."""

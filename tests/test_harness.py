@@ -393,6 +393,59 @@ def test_experiment_spec_validation():
         ExperimentSpec("x", "cube:3", 10, 3, m)
 
 
+# (changed fields, the field the error must name)
+_MISTYPED_METHODS = {
+    "label_int": ({"label": 5}, "label"),
+    "eta_string": ({"eta": "0.1"}, "eta"),
+    "eta_bool": ({"eta": True}, "eta"),
+    "eta_none": ({"eta": None}, "eta"),
+    "estimator_int": ({"estimator": 5}, "estimator"),
+    "schedule_none": ({"schedule": None}, "schedule"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_METHODS))
+def test_a_mistyped_method_fails_at_construction(tmp_path, monkeypatch, case):
+    # A spec built in Python is type-checked as a loaded one is: the
+    # error names the field before any trial runs or any file is written.
+    changed, field_name = _MISTYPED_METHODS[case]
+    ran = []
+    monkeypatch.setattr(harness, "_run_group", lambda *a: ran.append(a))
+    with pytest.raises(ConfigError, match=field_name):
+        method = MethodSpec(**{"estimator": "esg:arch", "eta": 0.1, **changed})
+        spec = ExperimentSpec("x", "slice:3", 8, 2, (method,))
+        write_outputs(run_experiment(spec), tmp_path)
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
+def test_method_fields_take_numpy_numbers_and_a_missing_label():
+    for eta in (np.float32(0.25), np.int64(1), 2):
+        assert MethodSpec("esg:arch", eta).display == "esg:arch"
+
+
+_MISTYPED_EXPERIMENTS = {
+    "name_int": {"name": 5},
+    "problem_none": {"problem": None},
+    "budget_bool": {"budget": True},
+    "n_trials_string": {"n_trials": "2"},
+    "base_seed_fraction": {"base_seed": 0.5},
+    "grid_points_bool": {"grid_points": True},
+    "direction_int": {"direction": 1},
+    "x0_string": {"x0": "0.5"},
+    "x0_tuple": {"x0": (0.5, 0.5, 0.5)},
+    "clamp_bool": {"clamp": True},
+    "methods_dicts": {"methods": ({"estimator": "esg:arch", "eta": 0.1},)},
+    "methods_one_spec": {"methods": MethodSpec("esg:arch", 0.1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_EXPERIMENTS))
+def test_a_mistyped_experiment_fails_at_construction(case):
+    (field_name, value), = _MISTYPED_EXPERIMENTS[case].items()
+    with pytest.raises(ConfigError, match=field_name):
+        _experiment_spec(**{field_name: value})
+
+
 def _descent_config(**kw):
     return DescentConfig(**{"estimator": "esg:arch", "steps": 4,
                             "schedule": Schedule("constant", 0.1), **kw})
