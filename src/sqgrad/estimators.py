@@ -43,8 +43,9 @@ them.  ``sample`` draws one realisation, ``sample_batch`` n of them at
 one state, and ``at_noise`` evaluates one at given noise: at fixed
 noise the threshold estimators are pathwise differentiable in the
 state, which finite-difference checks rely on.  All of them, and
-descent, go through ``Estimator.evaluate``; an estimator keeps no
-per-call state, so one instance serves any number of threads.
+descent, run one row kernel: through ``Estimator.evaluate``, or in
+``sample_batch``'s row blocks.  An estimator keeps no per-call state,
+so one instance serves any number of threads.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ __all__ = [
 
 ENV_MAX_WORKERS = "SQGRAD_MAX_WORKERS"
 
-#: Entries (rows x d) per block of a ``sample_batch`` call.  Blocks
-#: bound the kernel's temporaries and are what the threads share out.
+#: Entries (rows x d) per row block of a ``sample_batch`` call.  Each
+#: block maps its own noise and runs the kernel on its rows, so blocks
+#: bound the temporaries beyond the drawn planes and the outputs; they
+#: are also what the threads share out.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -142,9 +145,10 @@ def _leave_one_out(factors: np.ndarray) -> np.ndarray:
 
 def _query_rows(keys: np.ndarray, oracle: Oracle) -> np.ndarray:
     """Oracle responses for (m, d) or (m, q, d) keys, one batch call;
-    row i's q keys are the i-th block of the trial-major batch."""
+    row i's q keys are the i-th block of the trial-major batch.  They
+    enter the kernel as float64, whatever dtype ``_values`` returns."""
     flat = keys.reshape(-1, keys.shape[-1])
-    return oracle.query_batch(flat).reshape(keys.shape[0], -1)
+    return np.asarray(oracle.query_batch(flat), dtype=float).reshape(keys.shape[0], -1)
 
 
 class _UnitUniform:
@@ -278,47 +282,15 @@ class Estimator:
         are broadcast from one state (stride 0).  A caller that keeps
         the map of distinct rows passes it as ``at``, which must equal
         ``_at_state(states)`` bit for bit; descent does, and re-maps
-        between steps only the entries that moved.  Distinct rows then
-        run as one pass of ``_rows``, one ``oracle`` batch; a lockstep
-        group with per-trial instances passes them stacked, one block
-        per row.
-        Broadcast rows run in blocks of about ``_BLOCK_ENTRIES`` entries,
-        on up to ``SQGRAD_MAX_WORKERS`` threads that end with this call;
-        the oracle answers one block at a time, under its own lock.  The
-        kernel is row-wise, so the bits are those of one pass over all
-        rows, whatever the worker count.
+        between steps only the entries that moved.  The rows run as one
+        pass of ``_rows`` in this thread, one ``oracle`` batch; a
+        lockstep group with per-trial instances passes them stacked,
+        one block per row.  ``sample_batch`` runs its many rows in
+        blocks of its own.
         """
-        if states.strides[0] != 0:
-            return self._rows(self._at_state(states) if at is None else at, noise, oracle)
-        at = self._at_state(states[:1])
-        n, d = noise.shape
-        n_blocks = -(-n * d // _BLOCK_ENTRIES)
-        size = -(-n // n_blocks)
-        blocks = [slice(i, i + size) for i in range(0, n, size)]
-
-        def run(block: slice) -> SampleBatch:
-            return self._rows(at, noise[block], oracle)
-
-        workers = min(_worker_cap(), len(blocks))
-        # Imported here, so that processes which never start the pool,
-        # such as experiment runs, do not load its module.
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers) if workers > 1 else None
-        try:
-            parts = pool.map(run, blocks) if pool else map(run, blocks)
-            out, queries = None, 0
-            for block, part in zip(blocks, parts):
-                fields = (part.keys, part.values, part.grads, part.raw)
-                if out is None:
-                    out = [np.empty((n,) + a.shape[1:], a.dtype) for a in fields]
-                for whole, a in zip(out, fields):
-                    whole[block] = a
-                queries += part.queries
-        finally:
-            if pool:
-                pool.shutdown(cancel_futures=True)
-        return SampleBatch(*out, queries=queries)
+        if at is None:
+            at = self._at_state(states[:1] if states.strides[0] == 0 else states)
+        return self._rows(at, noise, oracle)
 
     # ---------- sampling ----------
 
@@ -355,14 +327,54 @@ class Estimator:
     def sample_batch(
         self, x, oracle: Oracle, rng: np.random.Generator, n: int
     ) -> SampleBatch:
-        """n independent realisations at a fixed state, vectorised: the
-        noise of all n rows is drawn first, from ``rng`` in this thread,
-        then ``evaluate`` runs on n rows broadcast from ``x``."""
+        """n independent realisations at a fixed state, vectorised.
+
+        In this thread, ``noise_law.draw`` draws the generator planes of
+        all n rows from ``rng``, ``_at_state`` maps the state once, and
+        the batch's arrays are allocated.  The rows then run in blocks
+        of about ``_BLOCK_ENTRIES`` entries, on up to
+        ``SQGRAD_MAX_WORKERS`` threads that end with this call: each
+        block maps its own noise with ``noise_law.from_draws``, runs
+        ``_rows`` and writes its rows into the batch.  The oracle
+        answers one block at a time, under its own lock.  Every step is
+        elementwise or row-wise, so the bits are those of ``evaluate``
+        on n rows at ``draw_noise_batch``'s noise, whatever the worker
+        count.
+        """
         x = self._checked_point(x, oracle)
         n = _count("n", n)
         d = x.shape[0]
-        noise = self.draw_noise_batch(rng, n, d)
-        return self.evaluate(np.broadcast_to(x, (n, d)), noise, oracle)
+        law = self.noise_law
+        planes = np.empty((law.draws, n, d))
+        law.draw(rng, planes)
+        at = self._at_state(x[None, :])
+        q = self.queries_per_sample
+        keys = np.empty((n, d) if q == 1 else (n, q, d), dtype=bool)
+        out = SampleBatch(keys, np.empty(n), np.empty((n, d)), np.empty((n, q)), queries=n * q)
+        n_blocks = -(-n * d // _BLOCK_ENTRIES)
+        size = -(-n // n_blocks)
+        blocks = [slice(i, i + size) for i in range(0, n, size)]
+
+        def run(block: slice) -> None:
+            part = self._rows(at, law.from_draws(planes[:, block]), oracle)
+            out.keys[block] = part.keys
+            out.values[block] = part.values
+            out.grads[block] = part.grads
+            out.raw[block] = part.raw
+
+        workers = min(_worker_cap(), len(blocks))
+        # Imported here, so that processes which never start the pool,
+        # such as experiment runs, do not load its module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers) if workers > 1 else None
+        try:
+            # Reading every result raises the first block's exception here.
+            list(pool.map(run, blocks) if pool else map(run, blocks))
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+        return out
 
 
 class _ProductEstimator(Estimator):
@@ -592,9 +604,9 @@ def estimate_mean_and_variance(
     evaluated at e = encode(x) and its summary describes the
     encoded-space gradient.  Accumulation is a numerically stable
     single pass over chunks of ``chunk_size`` samples, each one
-    ``sample_batch`` call: its noise is drawn whole and its row blocks
-    may run on threads, and the chunks merge in order, so every bit of
-    the summary is the same at any ``SQGRAD_MAX_WORKERS``.
+    ``sample_batch`` call: its generator output is drawn whole and its
+    row blocks may run on threads, and the chunks merge in order, so
+    every bit of the summary is the same at any ``SQGRAD_MAX_WORKERS``.
     """
     if isinstance(estimator, str):
         estimator = make_estimator(estimator)

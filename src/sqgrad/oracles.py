@@ -235,15 +235,8 @@ class KnapsackOracle(_Lookup):
         self.weights = self._weights = weights.astype(np.int64)
         total = int(self.weights.sum())
         self.target = t = total // 2
-
-        def value(s: int) -> float:
-            if abs(s - t) <= 2:
-                return 20.0
-            if s > t + 2:
-                return -5.0
-            return 0.0
-
-        self._table = np.array([value(s) for s in range(total + 1)])
+        packed = np.arange(total + 1)
+        self._table = np.where(packed > t + 2, -5.0, np.where(packed >= t - 2, 20.0, 0.0))
 
 
 class _TrialOracles(Oracle):

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -683,6 +684,57 @@ def test_a_sample_batch_maps_its_state_once_at_any_worker_count(spec, monkeypatc
         calls.clear()
         est.sample_batch(np.full(4, 0.3), oracle, np.random.default_rng(0), n)
         assert len(calls) == 1, workers
+
+
+def test_a_sample_batch_holds_its_planes_its_outputs_and_one_block(monkeypatch):
+    # Only the generator planes and the outputs span the whole chunk;
+    # everything else is one row block's, and the kernel keeps fewer
+    # than ten (rows, d) float arrays of a block alive at once.  Mapping
+    # the chunk's noise whole, or copying each block's results into
+    # fresh chunk arrays, takes more than that.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    est = make_estimator("esg:bigauss_cosine")
+    n, d = 1 << 16, 10
+    oracle = TableOracle(np.random.default_rng(0).uniform(-5.0, 5.0, size=1 << d))
+    x = np.full(d, 0.3)
+    est.sample_batch(x, oracle, np.random.default_rng(1), 10)  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        batch = est.sample_batch(x, oracle, np.random.default_rng(1), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    planes = est.noise_law.draws * n * d * 8
+    outputs = sum(a.nbytes for a in (batch.keys, batch.values, batch.grads, batch.raw))
+    block_rows = -(-n // -(-n * d // _BLOCK_ENTRIES))
+    assert peak < planes + outputs + 10 * block_rows * d * 8, peak
+
+
+class _CastOracle(Oracle):
+    """Table values handed back in another dtype."""
+
+    def __init__(self, table, dtype):
+        self._inner = TableOracle(table)
+        super().__init__(self._inner.d)
+        self._dtype = dtype
+
+    def _values(self, ys):
+        return self._inner._values(ys).astype(self._dtype)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_oracle_answers_of_any_dtype_enter_the_kernel_as_floats(spec, dtype):
+    est = make_estimator(spec)
+    d = 4
+    table = np.random.default_rng(2).integers(0, 2, size=1 << d).astype(float)
+    if dtype is np.int64:
+        table = 3.0 * table - 1.0
+    state = est.encode(np.linspace(0.2, 0.7, d))
+    got = est.sample_batch(state, _CastOracle(table, dtype), np.random.default_rng(3), 40)
+    want = est.sample_batch(state, TableOracle(table), np.random.default_rng(3), 40)
+    _assert_same_batch(got, (want.keys, want.values, want.grads, want.raw), spec)
+    assert got.raw.dtype == got.values.dtype == np.float64
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -108,6 +108,31 @@ def test_knapsack_oracle_bands():
     assert oracle.query(np.array([0, 0, 0, 0])) == 0.0
 
 
+def _knapsack_table_by_loop(weights) -> np.ndarray:
+    """The knapsack value table, one packed weight at a time."""
+    total = int(np.sum(weights))
+    t = total // 2
+
+    def value(s: int) -> float:
+        if abs(s - t) <= 2:
+            return 20.0
+        if s > t + 2:
+            return -5.0
+        return 0.0
+
+    return np.array([value(s) for s in range(total + 1)])
+
+
+def test_knapsack_table_matches_the_loop():
+    rng = np.random.default_rng(12)
+    cases = [[1], [1, 1], [2, 3], [1] * 5]
+    cases += [rng.integers(1, 10, size=int(rng.integers(1, 40))) for _ in range(100)]
+    for weights in cases:
+        got, want = KnapsackOracle(weights)._table, _knapsack_table_by_loop(weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), weights
+
+
 def test_knapsack_weight_validation():
     with pytest.raises(DomainError):
         KnapsackOracle([])
