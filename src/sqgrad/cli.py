@@ -69,11 +69,14 @@ def _dump_json(obj, fh) -> None:
     fh.write(text)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
 
 
 def _cmd_validate_tuple(args) -> int:
@@ -197,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(TUPLE_NAMES) + ["all"])
     p.add_argument("--method", choices=["quadrature", "monte_carlo"],
                    default="quadrature")
-    p.add_argument("--samples", type=_positive_int, default=100_000,
+    p.add_argument("--samples", type=_at_least(1), default=100_000,
                    help="sample count for monte_carlo")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_validate_tuple)
 
     p = sub.add_parser("estimate", help="Monte Carlo moments of an estimator")
@@ -208,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--x", required=True,
                    help="comma-separated probabilities; a single value broadcasts")
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=100_000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("exact", help="brute-force value and gradient")
@@ -218,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad", action="store_true")
     p.add_argument("--fd", type=float, default=None,
                    help="also report central differences with this step")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("descend", help="run descent from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_at_least(1), default=1)
     p.add_argument("--out", default=None, help="write trajectory JSON here")
     p.set_defaults(fn=_cmd_descend)
 

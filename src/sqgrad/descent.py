@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError, ScheduleError, _count
+from .errors import (ConfigError, DimensionMismatchError, DomainError, ScheduleError,
+                     _check_kinds, _count)
 from .estimators import Estimator, make_estimator
 from .oracles import Oracle, ProblemSpec, _TrialOracles
 
@@ -69,6 +70,7 @@ class Schedule:
     eta: float
 
     def __post_init__(self):
+        _check_kinds(self, {"kind": str, "eta": float}, ScheduleError)
         if self.kind not in _SCHEDULE_KINDS:
             raise ScheduleError(
                 f"unknown schedule {self.kind!r}; known: {', '.join(_SCHEDULE_KINDS)}"
@@ -100,14 +102,12 @@ class DescentConfig:
     snapshot_every: int | None = None  # default: max(1, steps // 1000)
 
     def __post_init__(self):
-        _count("steps", self.steps, 1, ConfigError)
+        _check_kinds(self, {"estimator": str, "steps": 1, "schedule": Schedule, "direction": str,
+                            "x0": tuple, "clamp": float, "seed": 0, "snapshot_every": 1})
         if self.direction not in ("minimize", "maximize"):
             raise ConfigError(f"unknown direction {self.direction!r}")
         if not 0.0 < self.clamp < 0.5:
             raise ConfigError("clamp must lie in (0, 1/2)")
-        _count("seed", self.seed, 0, ConfigError)
-        if self.snapshot_every is not None:
-            _count("snapshot_every", self.snapshot_every, 1, ConfigError)
         x0 = np.asarray(self.x0, dtype=float)
         if not np.all((x0 > 0.0) & (x0 < 1.0)):
             raise DomainError("x0 must lie strictly inside (0, 1)^d")
@@ -147,7 +147,6 @@ def _initial_states(
             f"x0 has shape {x0.shape} but the oracle has dimension {d}"
         )
     x0 = np.broadcast_to(x0, (d,)).astype(float)
-    # Tiled, not broadcast: evaluate reads stride-0 rows as one shared state.
     return np.tile(np.clip(est.encode(x0), lo, hi), (m, 1)), lo, hi
 
 
@@ -211,9 +210,9 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
         oracle = _TrialOracles(oracles)
 
     m = len(configs)
-    steps = int(head.steps)
+    steps = head.steps
     qps = est.queries_per_sample
-    stride = int(head.snapshot_every or max(1, steps // 1000))
+    stride = head.snapshot_every or max(1, steps // 1000)
     sign = 1.0 if head.direction == "maximize" else -1.0
 
     states, lo, hi = _initial_states(est, head, m, d)

@@ -254,9 +254,6 @@ class Estimator:
         self.noise_law.draw(rng, draws)
         return None
 
-    def draw_noise_batch(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-        return self.noise_law.sample(rng, (n, d))
-
     # ---------- kernel ----------
 
     def _at_state(self, states: np.ndarray):
@@ -278,9 +275,8 @@ class Estimator:
 
         ``states`` and ``noise`` are (m, d) float arrays and every state
         lies in the estimator's domain; callers have checked that.
-        ``_at_state`` maps the states once, or their one row when they
-        are broadcast from one state (stride 0).  A caller that keeps
-        the map of distinct rows passes it as ``at``, which must equal
+        ``_at_state`` maps the states once.  A caller that keeps the map
+        of the states passes it as ``at``, which must equal
         ``_at_state(states)`` bit for bit; descent does, and re-maps
         between steps only the entries that moved.  The rows run as one
         pass of ``_rows`` in this thread, one ``oracle`` batch; a
@@ -289,7 +285,7 @@ class Estimator:
         blocks of its own.
         """
         if at is None:
-            at = self._at_state(states[:1] if states.strides[0] == 0 else states)
+            at = self._at_state(states)
         return self._rows(at, noise, oracle)
 
     # ---------- sampling ----------
@@ -338,8 +334,8 @@ class Estimator:
         ``_rows`` and writes its rows into the batch.  The oracle
         answers one block at a time, under its own lock.  Every step is
         elementwise or row-wise, so the bits are those of ``evaluate``
-        on n rows at ``draw_noise_batch``'s noise, whatever the worker
-        count.
+        on n rows at ``noise_law.sample(rng, (n, d))``'s noise, whatever
+        the worker count.
         """
         x = self._checked_point(x, oracle)
         n = _count("n", n)

@@ -6,7 +6,7 @@ oracle response per call; the harness aligns the running best onto a
 common call grid (carrying the last value forward between calls) and
 reports the median with the interquartile band across trials.  The
 spec dataclasses declare every default and range once, and check a spec
-however it is built; the JSON reader checks only names and JSON types.
+however it is built; the JSON reader checks only names.
 
 Outputs are written deterministically: the CSV is sorted, floats are
 printed with repr-faithful precision, and the SVG plot is assembled
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -33,7 +32,7 @@ import numpy as np
 
 from .descent import (DescentConfig, Schedule, Trajectory, _initial_states, _run_group,
                       _trial_oracles, derive_seed)
-from .errors import ConfigError, EmptyInputError, SqgradError, _count
+from .errors import ConfigError, EmptyInputError, SqgradError, _check_kinds, _checked, _count
 from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
 from .tuples import register_tuple
@@ -103,6 +102,7 @@ class ExperimentSpec:
             isinstance(m, MethodSpec) for m in self.methods
         ):
             raise ConfigError(f"methods must be a tuple of MethodSpec, got {self.methods!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         # The name becomes <out_dir>/<name>.csv and .svg.
         if not self.name or os.path.basename(self.name) != self.name or "\0" in self.name:
             raise ConfigError(f"name {self.name!r} must be a plain file name")
@@ -112,10 +112,6 @@ class ExperimentSpec:
                 f"name is too long: <name>.csv and <name>.svg take {size} bytes, "
                 f"more than the {_NAME_MAX} a file name may have"
             )
-        _count("budget", self.budget, 1, ConfigError)
-        _count("n_trials", self.n_trials, 1, ConfigError)
-        _count("base_seed", self.base_seed, 0, ConfigError)
-        _count("grid_points", self.grid_points, 2, ConfigError)
         if not self.methods:
             raise ConfigError("an experiment needs at least one method")
         labels = [m.display for m in self.methods]
@@ -129,7 +125,7 @@ class ExperimentSpec:
         """Method mi's descent run, the budget spent in whole steps; the
         seed is set per trial."""
         method = self.methods[mi]
-        steps = int(self.budget) // make_estimator(method.estimator).queries_per_sample
+        steps = self.budget // make_estimator(method.estimator).queries_per_sample
         if steps < 1:
             raise ConfigError(
                 f"budget {self.budget} cannot fund one step of {method.estimator}"
@@ -158,70 +154,30 @@ class ExperimentResult:
     series: list[AggregateSeries] = field(default_factory=list)
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string",
-               list: "an array", dict: "an object"}
-
-# The JSON kind of every field each object kind takes; the dataclass
-# defaults say which fields are optional and which take null.  The spec
-# dataclasses check their own fields against the same tables.
+# The kind of every field, as ``_checked`` takes it, that the spec
+# dataclasses check; their defaults say which fields are optional and
+# which take null.
 _METHOD_FIELDS = {"estimator": str, "eta": float, "schedule": str, "label": str}
 _EXPERIMENT_FIELDS = {
-    "name": str, "problem": str, "budget": int, "n_trials": int, "methods": list,
-    "base_seed": int, "direction": str, "x0": float, "clamp": float, "grid_points": int,
+    "name": str, "problem": str, "budget": 1, "n_trials": 1, "methods": list,
+    "base_seed": 0, "direction": str, "x0": float, "clamp": float, "grid_points": 2,
 }
 # A descent file is a method without its label, the problem, and the run.
-_DESCENT_FIELDS = {
-    "problem": str, "estimator": str, "eta": float, "schedule": str, "steps": int,
-    "direction": str, "x0": tuple, "clamp": float, "seed": int, "snapshot_every": int,
-}
+_DESCENT_FIELDS = ("problem", "estimator", "eta", "schedule", "steps", "direction", "x0",
+                   "clamp", "seed", "snapshot_every")
 
 
-def _checked(key: str, value, kind: type):
-    """``value`` as ``kind`` if its JSON type fits: a number is any real
-    number but a boolean, an integer field takes one with no fractional
-    part, and a ``tuple`` field takes a number or an array of numbers."""
-    if kind is tuple and isinstance(value, list):
-        return tuple(_checked(key, v, float) for v in value)
-    kind = float if kind is tuple else kind
-    if kind in (int, float):
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        ok = ok and (kind is float or isinstance(value, numbers.Integral)
-                     or float(value).is_integer())
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _check_kinds(spec, kinds: dict) -> None:
-    """The type check of a spec however it was built: each field in
-    ``kinds`` must pass ``_checked``, and only a field whose default is
-    None may be None.  A ``ConfigError`` names the first that fails."""
-    defaults = {f.name: f.default for f in fields(spec)}
-    for name, kind in kinds.items():
-        value = getattr(spec, name)
-        if value is not None or defaults[name] is not None:
-            _checked(name, value, kind)
-
-
-def _read_fields(raw: dict, kinds: dict, what: str, *classes) -> dict:
-    """The fields a JSON object sets, each checked by ``_checked`` against
-    ``kinds``, so the others keep their dataclass defaults.  A field with
-    no default in ``classes`` is required; only a None default takes null."""
-    unknown = sorted(set(raw) - set(kinds))
+def _read_fields(raw: dict, names, what: str, *classes) -> dict:
+    """``raw`` once it sets only fields in ``names`` and every one of them
+    with no default in ``classes``; the dataclasses check the values."""
+    unknown = sorted(set(raw) - set(names))
     if unknown:
         raise ConfigError(f"unknown {what} fields: {unknown}")
-    defaults = {f.name: f.default for cls in classes for f in fields(cls)
-                if f.default is not MISSING}
-    for name in kinds:
+    defaults = {f.name for cls in classes for f in fields(cls) if f.default is not MISSING}
+    for name in names:
         if name not in raw and name not in defaults:
             raise ConfigError(f"missing required field {name!r}")
-    return {
-        name: None if value is None and defaults.get(name, MISSING) is None
-        else _checked(name, value, kinds[name])
-        for name, value in raw.items()
-    }
+    return raw
 
 
 def _read_json(path, what: str) -> dict:
@@ -249,7 +205,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
         spec["methods"] = tuple(
             MethodSpec(**_read_fields(_checked(f"methods[{i}]", m, dict), _METHOD_FIELDS,
                                       "method", MethodSpec))
-            for i, m in enumerate(spec["methods"])
+            for i, m in enumerate(_checked("methods", spec["methods"], list))
         )
         return ExperimentSpec(**spec)
     except SqgradError as exc:
@@ -263,7 +219,7 @@ def load_descent_config(path) -> tuple[DescentConfig, ProblemSpec]:
     raw = _read_json(path, "descent config")
     try:
         run = _read_fields(raw, _DESCENT_FIELDS, "descent", MethodSpec, DescentConfig)
-        problem = parse_problem(run.pop("problem"))
+        problem = parse_problem(_checked("problem", run.pop("problem"), str))
         method = MethodSpec(**{name: run.pop(name) for name in _METHOD_FIELDS if name in run})
         config = method.descent_config(**run)
         _initial_states(make_estimator(config.estimator), config, 1, problem.d)  # x0's length must be d
@@ -320,7 +276,7 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     faces the same sequence of instances; noise streams derive from
     (base_seed, 2, method, trial)."""
     config = spec.method_config(mi)
-    n = int(spec.n_trials)
+    n = spec.n_trials
     configs = [
         replace(config, seed=derive_seed(spec.base_seed, 2, mi, trial)) for trial in range(n)
     ]

@@ -47,6 +47,19 @@ def test_validate_tuple_rejects_nonpositive_samples(samples, capsys):
     assert "--samples: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate-tuple", "spike"],
+    ["estimate", "--estimator", "esg:arch", "--problem", "slice:4", "--x", "0.5"],
+    ["exact", "--problem", "slice:4", "--x", "0.5"],
+], ids=lambda argv: argv[0])
+def test_a_negative_seed_is_a_usage_error(argv, capsys):
+    # Not a traceback from the generator, and not exit 1, which means
+    # a failed validation.
+    assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--seed: must be at least 0" in captured.err and captured.out == ""
+
+
 def test_estimate_json(capsys):
     rc = main(["estimate", "--estimator", "esg:longjump", "--problem", "slice:4",
                "--x", "0.5", "--samples", "4000", "--seed", "1"])

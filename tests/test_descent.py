@@ -62,6 +62,20 @@ def test_config_validation():
         _config(snapshot_every=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("schedule", 0.1), ("x0", "abc"), ("estimator", 5), ("steps", True),
+])
+def test_a_mistyped_config_fails_at_construction(field, value):
+    # Not at step 1, not as a bare ValueError, and not as one step.
+    with pytest.raises(ConfigError, match=field):
+        _config(**{field: value})
+
+
+def test_a_mistyped_schedule_fails_at_construction():
+    with pytest.raises(ScheduleError, match="eta"):
+        Schedule("constant", "0.1")
+
+
 def test_dispatch_guards():
     with pytest.raises(ConfigError):
         run_repeated(_config(), parse_problem("slice:4"), 0, 1)

@@ -446,17 +446,16 @@ def test_product_kernel_matches_the_per_method_formulas(spec):
         noise = np.stack([est.draw_noise(rng, d) for _ in range(m)])
         batch = est.evaluate(states, noise, oracle)
         _assert_same_batch(batch, _reference_batch(est, states, noise, oracle), spec)
-    # sample_batch hands evaluate broadcast rows of one state.
     x = est.encode(np.linspace(0.1, 0.9, d))
     batch = est.sample_batch(x, oracle, np.random.default_rng(5), 50)
-    noise = est.draw_noise_batch(np.random.default_rng(5), 50, d)
+    noise = est.noise_law.sample(np.random.default_rng(5), (50, d))
     states = np.broadcast_to(x, (50, d))
     _assert_same_batch(batch, _reference_batch(est, states, noise, oracle), spec)
 
 
 @pytest.mark.parametrize("name, bad", [
     ("chunk_size", 0), ("chunk_size", -3), ("chunk_size", 2.5),
-    ("n_samples", 0), ("n_samples", 2.5), ("n_samples", "7"),
+    ("n_samples", 0), ("n_samples", 2.5), ("n_samples", "7"), ("n_samples", True),
 ])
 def test_estimate_rejects_counts_that_are_not_positive_integers(name, bad):
     oracle = TableOracle(np.arange(4.0))
@@ -552,7 +551,7 @@ def test_estimates_have_the_same_bits_at_every_worker_count(run):
         assert summary_and_calls() == serial
         batch = est.sample_batch(state, TableOracle(table), np.random.default_rng(seed), n)
     # One unblocked pass of the row kernel over all rows.
-    noise = est.draw_noise_batch(np.random.default_rng(seed), n, d)
+    noise = est.noise_law.sample(np.random.default_rng(seed), (n, d))
     whole = est._rows(est._at_state(state[None, :]), noise, TableOracle(table))
     for got, want in ((batch.keys, whole.keys), (batch.values, whole.values),
                       (batch.grads, whole.grads), (batch.raw, whole.raw)):
@@ -751,6 +750,6 @@ def test_evaluating_leaves_the_estimator_as_it_was(spec, monkeypatch):
         state = est.encode(x)
         est.sample_batch(state, oracle, rng, 3 * (_BLOCK_ENTRIES // d))
         est.at_noise(state, oracle, est.draw_noise(rng, d))
-        est.evaluate(np.stack([state, state]), est.draw_noise_batch(rng, 2, d), oracle)
+        est.evaluate(np.stack([state, state]), est.noise_law.sample(rng, (2, d)), oracle)
         assert vars(est).keys() == before.keys(), spec
         assert all(vars(est)[k] is v for k, v in before.items()), spec

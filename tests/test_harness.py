@@ -473,8 +473,9 @@ _COUNTS = [
 @pytest.mark.parametrize("name, least, build", _COUNTS,
                          ids=[f"{i}-{c[0]}" for i, c in enumerate(_COUNTS)])
 def test_counts_must_be_integers(name, least, build):
-    # A fractional count is refused, not truncated; an integral float passes.
-    for bad in (2.5, least + 0.5, least - 1, "3"):
+    # A fractional count is refused, not truncated, and a bool is not read
+    # as 1; an integral float passes.
+    for bad in (2.5, least + 0.5, least - 1, "3", True):
         with pytest.raises(ConfigError, match=name):
             build(bad)
     build(3.0)
@@ -585,6 +586,18 @@ def test_optional_fields_written_at_their_documented_defaults_change_nothing(tmp
         else:
             loaded.append(load_experiment_spec(path))
     assert loaded[0] == loaded[1]
+
+
+def test_a_descent_config_built_in_python_equals_the_loaded_one(tmp_path):
+    data = _TINY["descend"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    loaded, _ = load_descent_config(path)
+    for x0 in (list(data["x0"]), np.array(data["x0"])):
+        built = DescentConfig(data["estimator"], data["steps"],
+                              Schedule(data["schedule"], data["eta"]), data["direction"],
+                              x0, data["clamp"], data["seed"], data["snapshot_every"])
+        assert built == loaded
 
 
 def test_a_descent_file_takes_no_label(tmp_path):
