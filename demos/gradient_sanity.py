@@ -17,14 +17,16 @@ from sqgrad import (
     multilinear_gradient,
     multilinear_value,
 )
+from sqgrad.cli import _at_least
 
 SPECS = ["esg:spike", "esg:arch", "esg:longjump", "reinforce", "arm", "disarm"]
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--samples", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=0)
+    # The types of ``sqgrad estimate``: a bad value is a usage error.
+    ap.add_argument("--samples", type=_at_least(1), default=200_000)
+    ap.add_argument("--seed", type=_at_least(0), default=0)
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)

@@ -20,15 +20,20 @@ replayed deterministically.
 
 Each law defines its sampler once, as two halves:
 
-* ``draw(rng, out)`` writes the generator output into ``out``, of shape
-  ``(draws, *size)``: plane k holds the k-th generator call, in the
-  order the law consumes its stream;
-* ``from_draws(raw)`` maps such planes elementwise to noise, for any
-  shape behind the leading ``draws`` axis.
+* ``draw(rng, out, first=0)`` writes generator output into ``out``, of
+  shape ``(planes, *size)``: plane k is the law's k-th generator call,
+  and its stream holds all of plane k before plane k + 1.  ``out``
+  holds planes ``first`` on, so a caller may draw a law's planes one at
+  a time, and a plane's entries in as many calls as it likes, in stream
+  order;
+* ``from_draws(raw)`` maps planes elementwise to noise, for any shape
+  behind the leading plane axis; ``raw[k]`` is plane k, so ``raw`` may
+  be a list of arrays as well as one buffer.
 
 ``sample`` is ``from_draws`` after ``draw``.  A caller that fills the
 rows of one buffer from different generators can map the whole buffer
-in one pass and get, row by row, the bits ``sample`` would give.  Laws
+in one pass and get, row by row, the bits ``sample`` would give, and
+one that draws a plane in row blocks gets the bits of one call.  Laws
 sampled by inverse transform do the whole transform in ``draw`` (their
 ``from_draws`` only drops the plane axis), so a bisection stops on one
 call's entries alone and never couples rows drawn from different
@@ -154,8 +159,9 @@ class SymmetricDistribution:
     def _density(self, z: np.ndarray):
         raise NotImplementedError(f"{type(self).__name__} has no density")
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out``, shape (draws, *size), with generator output.
+    def draw(self, rng: np.random.Generator, out: np.ndarray, first: int = 0) -> None:
+        """Fill ``out``, shape (planes, *size), with generator planes
+        ``first``, ``first + 1``, ...; ``first`` is 0 for a one-plane law.
 
         The default is the whole inverse transform of one uniform plane.
         """
@@ -164,8 +170,8 @@ class SymmetricDistribution:
         np.maximum(u, 1e-300, out=u)
         out[0] = self.inv_cdf(u)
 
-    def from_draws(self, raw: np.ndarray) -> np.ndarray:
-        """Noise from ``draw`` output, elementwise over ``raw[k]``."""
+    def from_draws(self, raw) -> np.ndarray:
+        """Noise from ``draw`` output, elementwise over planes ``raw[k]``."""
         return raw[0]
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -205,7 +211,7 @@ class UniformInterval(_HalfWidth):
         c = self.half_width
         return np.where(np.abs(z) <= c, 1.0 / (2.0 * c), 0.0)
 
-    def draw(self, rng, out):
+    def draw(self, rng, out, first=0):
         rng.random(out=out[0])
 
     def from_draws(self, raw):
@@ -238,7 +244,7 @@ class TwoPoint(SymmetricDistribution):
     def _density(self, z):
         raise NoDensityError("a two-point law has no density")
 
-    def draw(self, rng, out):
+    def draw(self, rng, out, first=0):
         rng.random(out=out[0])
 
     def from_draws(self, raw):
@@ -273,10 +279,12 @@ class GaussianMixture(SymmetricDistribution):
         bumps = np.exp(-0.5 * ((z - m) / s) ** 2) + np.exp(-0.5 * ((z + m) / s) ** 2)
         return bumps / (2.0 * s * math.sqrt(2.0 * math.pi))
 
-    def draw(self, rng, out):
-        # The component's sign first, then the normal, as one stream.
-        rng.random(out=out[0])
-        rng.standard_normal(out=out[1])
+    def draw(self, rng, out, first=0):
+        # The component's sign (plane 0), then the normal (plane 1).
+        if first == 0:
+            rng.random(out=out[0])
+        if first + len(out) == 2:
+            rng.standard_normal(out=out[-1])
 
     def from_draws(self, raw):
         sign = np.where(raw[0] < 0.5, -1.0, 1.0)

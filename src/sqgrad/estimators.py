@@ -44,14 +44,16 @@ one state, and ``at_noise`` evaluates one at given noise: at fixed
 noise the threshold estimators are pathwise differentiable in the
 state, which finite-difference checks rely on.  All of them, and
 descent, run one row kernel: through ``Estimator.evaluate``, or in
-``sample_batch``'s row blocks.  An estimator keeps no per-call state,
-so one instance serves any number of threads.
+``sample_batch``'s row blocks, each of which draws its own noise in
+stream order.  An estimator keeps no per-call state, so one instance
+serves any number of threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +82,9 @@ __all__ = [
 ENV_MAX_WORKERS = "SQGRAD_MAX_WORKERS"
 
 #: Entries (rows x d) per row block of a ``sample_batch`` call.  Each
-#: block maps its own noise and runs the kernel on its rows, so blocks
-#: bound the temporaries beyond the drawn planes and the outputs; they
-#: are also what the threads share out.
+#: block draws its rows of noise, maps them and runs the kernel on them,
+#: so blocks bound everything beyond the outputs (and a law's leading
+#: planes); they are also what the threads share out.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -136,11 +138,13 @@ class SampleBatch:
 
 def _leave_one_out(factors: np.ndarray) -> np.ndarray:
     """Row-wise products of all entries but one, via exclusive scans."""
-    pre = np.ones_like(factors)
-    suf = np.ones_like(factors)
-    np.cumprod(factors[:, :-1], axis=1, out=pre[:, 1:])
-    np.cumprod(factors[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    return pre * suf
+    pre = np.empty_like(factors)
+    suf = np.empty_like(factors)
+    pre[:, 0] = suf[:, -1] = 1.0
+    np.multiply.accumulate(factors[:, :-1], axis=1, out=pre[:, 1:])
+    np.multiply.accumulate(factors[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    pre *= suf
+    return pre
 
 
 def _query_rows(keys: np.ndarray, oracle: Oracle) -> np.ndarray:
@@ -157,10 +161,10 @@ class _UnitUniform:
 
     draws = 1
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+    def draw(self, rng: np.random.Generator, out: np.ndarray, first: int = 0) -> None:
         rng.random(out=out[0])
 
-    def from_draws(self, raw: np.ndarray) -> np.ndarray:
+    def from_draws(self, raw) -> np.ndarray:
         return raw[0]
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -325,14 +329,18 @@ class Estimator:
     ) -> SampleBatch:
         """n independent realisations at a fixed state, vectorised.
 
-        In this thread, ``noise_law.draw`` draws the generator planes of
-        all n rows from ``rng``, ``_at_state`` maps the state once, and
+        In this thread, ``noise_law.draw`` draws the leading generator
+        planes of all n rows, when the law has more than one (its
+        stream holds them first), ``_at_state`` maps the state once, and
         the batch's arrays are allocated.  The rows then run in blocks
         of about ``_BLOCK_ENTRIES`` entries, on up to
-        ``SQGRAD_MAX_WORKERS`` threads that end with this call: each
-        block maps its own noise with ``noise_law.from_draws``, runs
+        ``SQGRAD_MAX_WORKERS`` threads that end with this call.  The
+        blocks take turns at ``rng`` in row order: each draws its rows
+        of the last plane into a buffer of its own, then, while later
+        blocks draw, maps its noise with ``noise_law.from_draws``, runs
         ``_rows`` and writes its rows into the batch.  The oracle
-        answers one block at a time, under its own lock.  Every step is
+        answers one block at a time, under its own lock.  The stream is
+        that of one ``draw`` of all n rows, and every step is
         elementwise or row-wise, so the bits are those of ``evaluate``
         on n rows at ``noise_law.sample(rng, (n, d))``'s noise, whatever
         the worker count.
@@ -341,18 +349,28 @@ class Estimator:
         n = _count("n", n)
         d = x.shape[0]
         law = self.noise_law
-        planes = np.empty((law.draws, n, d))
-        law.draw(rng, planes)
+        last = law.draws - 1
+        lead = np.empty((last, n, d))
+        if last:
+            law.draw(rng, lead)
         at = self._at_state(x[None, :])
         q = self.queries_per_sample
         keys = np.empty((n, d) if q == 1 else (n, q, d), dtype=bool)
         out = SampleBatch(keys, np.empty(n), np.empty((n, d)), np.empty((n, q)), queries=n * q)
         n_blocks = -(-n * d // _BLOCK_ENTRIES)
         size = -(-n // n_blocks)
-        blocks = [slice(i, i + size) for i in range(0, n, size)]
+        blocks = [slice(i, min(i + size, n)) for i in range(0, n, size)]
+        unclaimed = iter(blocks)
+        turn = threading.Lock()
 
-        def run(block: slice) -> None:
-            part = self._rows(at, law.from_draws(planes[:, block]), oracle)
+        def run(_) -> None:
+            # Each call claims the next block and draws its rows in one
+            # turn, so the blocks draw in row order on any thread.
+            with turn:
+                block = next(unclaimed)
+                own = np.empty((1, block.stop - block.start, d))
+                law.draw(rng, own, first=last)
+            part = self._rows(at, law.from_draws([*lead[:, block], *own]), oracle)
             out.keys[block] = part.keys
             out.values[block] = part.values
             out.grads[block] = part.grads
@@ -365,7 +383,7 @@ class Estimator:
 
         pool = ThreadPoolExecutor(workers) if workers > 1 else None
         try:
-            # Reading every result raises the first block's exception here.
+            # Reading every result raises the first exception here.
             list(pool.map(run, blocks) if pool else map(run, blocks))
         finally:
             if pool:
@@ -565,9 +583,12 @@ class _RunningMoments:
         self.m2 = np.zeros(shape)
 
     def update(self, block: np.ndarray) -> None:
+        """Merge a chunk of samples along axis 0.  Its deviations are
+        squared in place, over ``block``, so the pass allocates nothing
+        of the chunk's size: a caller passes arrays it no longer needs."""
         m = block.shape[0]
         b_mean = block.mean(axis=0)
-        dev = block - b_mean
+        dev = np.subtract(block, b_mean, out=block)
         np.square(dev, out=dev)
         b_m2 = dev.sum(axis=0)
         if self.n == 0:
@@ -600,8 +621,9 @@ def estimate_mean_and_variance(
     evaluated at e = encode(x) and its summary describes the
     encoded-space gradient.  Accumulation is a numerically stable
     single pass over chunks of ``chunk_size`` samples, each one
-    ``sample_batch`` call: its generator output is drawn whole and its
-    row blocks may run on threads, and the chunks merge in order, so
+    ``sample_batch`` call: its row blocks draw their noise in stream
+    order and may run on threads, the moments square the chunk's
+    deviations in its own arrays, and the chunks merge in order, so
     every bit of the summary is the same at any ``SQGRAD_MAX_WORKERS``.
     """
     if isinstance(estimator, str):

@@ -1,6 +1,9 @@
-"""The committed demo outputs reproduce byte for byte."""
+"""The committed demo outputs reproduce byte for byte, and the demos
+refuse bad options as usage errors."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +35,15 @@ def test_slice_d10_short_reproduces_the_committed_bytes(
     for name in ("slice_d10_short.csv", "slice_d10_short.svg"):
         fresh = (tmp_path / name).read_bytes()
         assert fresh == (COMMITTED / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("option", [["--samples", "0"], ["--seed", "-1"]])
+def test_gradient_sanity_refuses_a_bad_option_as_a_usage_error(option):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "demos" / "gradient_sanity.py"), *option],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "must be at least" in done.stderr

@@ -181,6 +181,29 @@ def test_sample_matches_the_one_call_sampler(dist, size, seed):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dist=_SAMPLED_LAWS,
+    rows=st.integers(1, 30),
+    cuts=st.lists(st.integers(1, 29), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planes_drawn_one_at_a_time_in_row_blocks_have_the_bits_of_one_draw(
+    dist, rows, cuts, seed
+):
+    d = 3
+    whole = np.empty((dist.draws, rows, d))
+    dist.draw(np.random.default_rng(seed), whole)
+    rng = np.random.default_rng(seed)
+    parts = np.empty_like(whole)
+    edges = sorted({0, rows, *(c for c in cuts if c < rows)})
+    for k in range(dist.draws):
+        for a, b in zip(edges, edges[1:]):
+            dist.draw(rng, parts[k:k + 1, a:b], first=k)
+    assert parts.tobytes() == whole.tobytes()
+    assert dist.from_draws(list(parts)).tobytes() == dist.from_draws(whole).tobytes()
+
+
 @pytest.mark.parametrize(
     "dist",
     CLOSED_FORM + [TwoPoint(1.0), get_tuple("bigauss_cosine").sigma_hat],

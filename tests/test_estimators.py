@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqgrad import estimators
-from sqgrad.distributions import UniformInterval
+from sqgrad.distributions import Triangular, UniformInterval
 from sqgrad.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -435,6 +435,33 @@ def _assert_same_batch(batch, want, spec):
         assert batch.grads.tobytes() == grads.tobytes(), spec
 
 
+def _leave_one_out_by_ones(factors):
+    """``_leave_one_out`` with its former scans into arrays of ones."""
+    pre = np.ones_like(factors)
+    suf = np.ones_like(factors)
+    np.cumprod(factors[:, :-1], axis=1, out=pre[:, 1:])
+    np.cumprod(factors[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    return pre * suf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 6),
+    d=st.sampled_from([1, 2, 3, 7, 12]),
+    data=st.data(),
+)
+def test_leave_one_out_keeps_the_bits_of_the_scans_into_ones(m, d, data):
+    entries = st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf]))
+    factors = np.array(
+        data.draw(st.lists(entries, min_size=m * d, max_size=m * d)), dtype=float
+    ).reshape(m, d)
+    with np.errstate(all="ignore"):
+        got, want = _leave_one_out(factors), _leave_one_out_by_ones(factors)
+    assert got.shape == want.shape == (m, d)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s not in ("arm", "disarm")])
 def test_product_kernel_matches_the_per_method_formulas(spec):
     est = make_estimator(spec)
@@ -488,8 +515,9 @@ def test_running_moments_keep_the_former_bits(shape):
     chunks = [rng.normal(2.0, 3.0, size=(m,) + shape) for m in (1000, 333)]
     new, old = _RunningMoments(shape), _RunningMoments(shape)
     for chunk in chunks:
-        new.update(chunk)
-        _old_update(old, chunk)
+        # ``update`` overwrites its chunk, so each side gets its own copy.
+        new.update(chunk.copy())
+        _old_update(old, chunk.copy())
         assert new.n == old.n
         assert np.asarray(new.mean).tobytes() == np.asarray(old.mean).tobytes()
         assert np.asarray(new.m2).tobytes() == np.asarray(old.m2).tobytes()
@@ -558,6 +586,50 @@ def test_estimates_have_the_same_bits_at_every_worker_count(run):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert batch.queries == whole.queries == n * est.queries_per_sample
+
+
+# An esg whose noise law samples by inverse transform, through the
+# default ``draw``; its weights are arch's, since only bits are compared.
+_ARCH = get_tuple("arch")
+_INVERSE_TRANSFORM_ESG = estimators._Esg(GoodTuple(
+    "triangular_noise", _ARCH.f, _ARCH.f_prime, Triangular(0.5), _ARCH.sigma_hat))
+
+
+@st.composite
+def _batch_runs(draw):
+    # ALL_SPECS holds the two-plane mixture (the bigauss tuples).
+    est = draw(st.sampled_from([*_MAKE.values(), _INVERSE_TRANSFORM_ESG]))
+    d = draw(st.integers(1, 6))
+    blocks = draw(st.sampled_from([1, 2, 3]))
+    if blocks == 1:
+        n = 1
+    else:
+        n = draw(st.integers((blocks - 1) * _BLOCK_ENTRIES // d + 2, blocks * _BLOCK_ENTRIES // d))
+        # Rows that split evenly into the blocks leave no short last block.
+        n -= n % blocks == 0
+    workers = draw(st.sampled_from([1, 2, 3]))
+    return est, d, n, workers, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_batch_runs())
+def test_a_sample_batch_has_the_bits_of_evaluate_at_sampled_noise(run):
+    # The blocks draw their rows in turn, on any thread: the stream and
+    # every output bit are those of one draw of all rows, evaluated whole.
+    est, d, n, workers, seed = run
+    table = np.random.default_rng(seed).uniform(-5.0, 5.0, size=1 << d)
+    state = est.encode(np.random.default_rng(seed + 1).uniform(0.1, 0.9, size=d))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with _max_workers(workers):
+        batch = est.sample_batch(state, TableOracle(table), rng, n)
+    noise = est.noise_law.sample(ref, (n, d))
+    want = est.evaluate(np.tile(state, (n, 1)), noise, TableOracle(table))
+    for got, exp in ((batch.keys, want.keys), (batch.values, want.values),
+                     (batch.grads, want.grads), (batch.raw, want.raw)):
+        assert got.dtype == exp.dtype and got.shape == exp.shape
+        assert got.tobytes() == exp.tobytes(), est.spec
+    assert batch.queries == want.queries
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class _OneCallerOracle(Oracle):
@@ -707,6 +779,52 @@ def test_a_sample_batch_holds_its_planes_its_outputs_and_one_block(monkeypatch):
     outputs = sum(a.nbytes for a in (batch.keys, batch.values, batch.grads, batch.raw))
     block_rows = -(-n // -(-n * d // _BLOCK_ENTRIES))
     assert peak < planes + outputs + 10 * block_rows * d * 8, peak
+
+
+def test_a_sample_batch_holds_no_chunk_sized_noise(monkeypatch):
+    # Each block draws its own rows of noise, so beyond the outputs the
+    # peak leaves no room for one chunk-sized plane of noise.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    est = make_estimator("esg:arch")
+    n, d = 1 << 16, 10
+    oracle = TableOracle(np.random.default_rng(0).uniform(-5.0, 5.0, size=1 << d))
+    x = np.full(d, 0.3)
+    est.sample_batch(x, oracle, np.random.default_rng(1), 10)  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        batch = est.sample_batch(x, oracle, np.random.default_rng(1), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (batch.keys, batch.values, batch.grads, batch.raw))
+    assert peak < outputs + 0.9 * n * d * 8, peak
+
+
+def test_the_moment_pass_allocates_nothing_chunk_sized(monkeypatch):
+    # Once the chunk's batch exists, the moments of its gradients and
+    # values take no array of the chunk's length.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    est = make_estimator("esg:arch")
+    n, d = 1 << 16, 10
+    oracle = TableOracle(np.random.default_rng(0).uniform(-5.0, 5.0, size=1 << d))
+    sample_batch, held = est.sample_batch, []
+
+    def batch_then_reset_peak(*args):
+        batch = sample_batch(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return batch
+
+    monkeypatch.setattr(est, "sample_batch", batch_then_reset_peak)
+    tracemalloc.start()
+    try:
+        estimate_mean_and_variance(est, np.full(d, 0.3), oracle, n, np.random.default_rng(1),
+                                   chunk_size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert peak - held[0] < n * 8 // 2, peak - held[0]
 
 
 class _CastOracle(Oracle):
