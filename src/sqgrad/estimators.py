@@ -478,7 +478,8 @@ class _Naive(_ProductEstimator):
     def _at_noise(self, at, eps):
         (e,) = at
         keys = e + eps >= 0.0
-        return keys, None, np.zeros(keys.shape), None
+        # One row of zeros; the kernel's Q * 0 broadcasts it over the rows.
+        return keys, None, np.zeros((1, keys.shape[1])), None
 
 
 class _Reinforce(_ProductEstimator):
@@ -574,6 +575,23 @@ class MomentSummary:
     queries: int
 
 
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(block, axis=0)``, bit for bit.
+
+    On a C-contiguous (m, d) block with d >= 2 numpy's reduce adds the
+    rows in row order, one d-entry inner loop per row; einsum makes the
+    same row-order pass with far less overhead per row.  The two may
+    keep different NaNs where NaNs meet, so a NaN sum is taken again
+    by the reduce.  A 1-D block, a single column (both summed pairwise)
+    and any other layout keep the reduce itself.
+    """
+    if block.ndim == 2 and block.shape[1] > 1 and block.flags.c_contiguous:
+        sums = np.einsum("ij->j", block)
+        if not np.isnan(sums).any():
+            return sums
+    return np.add.reduce(block, axis=0)
+
+
 class _RunningMoments:
     """Single-pass mean and M2 with the parallel (chunk-merge) update."""
 
@@ -585,12 +603,17 @@ class _RunningMoments:
     def update(self, block: np.ndarray) -> None:
         """Merge a chunk of samples along axis 0.  Its deviations are
         squared in place, over ``block``, so the pass allocates nothing
-        of the chunk's size: a caller passes arrays it no longer needs."""
+        of the chunk's size: a caller passes arrays it no longer needs.
+        Both column sums, the mean's (divided by m, as ``mean`` does)
+        and the squared deviations', are ``_column_sums``: row order
+        for a (m, d) chunk with d >= 2, numpy's pairwise reduce for 1-D
+        chunks and d = 1.  So the bits are those of ``block.mean`` and
+        ``sum`` along axis 0."""
         m = block.shape[0]
-        b_mean = block.mean(axis=0)
+        b_mean = _column_sums(block) / m
         dev = np.subtract(block, b_mean, out=block)
         np.square(dev, out=dev)
-        b_m2 = dev.sum(axis=0)
+        b_m2 = _column_sums(dev)
         if self.n == 0:
             self.n, self.mean, self.m2 = m, b_mean, b_m2
             return
@@ -625,6 +648,9 @@ def estimate_mean_and_variance(
     order and may run on threads, the moments square the chunk's
     deviations in its own arrays, and the chunks merge in order, so
     every bit of the summary is the same at any ``SQGRAD_MAX_WORKERS``.
+    The moments sum each gradient column in row order when d >= 2;
+    the values, and the gradient at d = 1, keep numpy's pairwise
+    reduce.
     """
     if isinstance(estimator, str):
         estimator = make_estimator(estimator)

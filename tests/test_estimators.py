@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqgrad import estimators
@@ -29,7 +29,7 @@ from sqgrad.estimators import (
     make_estimator,
 )
 from sqgrad.exact import multilinear_gradient, multilinear_value
-from sqgrad.oracles import Oracle, TableOracle
+from sqgrad.oracles import Oracle, TableOracle, make_knapsack
 from sqgrad.tuples import GoodTuple, get_tuple, register_tuple
 
 ALL_SPECS = [
@@ -509,10 +509,11 @@ def _old_update(moments, block):
     moments.n = total
 
 
-@pytest.mark.parametrize("shape", [(), (7,)])
-def test_running_moments_keep_the_former_bits(shape):
+@pytest.mark.parametrize("lengths", [(1000, 333), (1, 1 << 16), (1 << 16, 1)])
+@pytest.mark.parametrize("shape", [(), (7,), (1,), (2,), (10,), (24,)])
+def test_running_moments_keep_the_former_bits(shape, lengths):
     rng = np.random.default_rng(3)
-    chunks = [rng.normal(2.0, 3.0, size=(m,) + shape) for m in (1000, 333)]
+    chunks = [rng.normal(2.0, 3.0, size=(m,) + shape) for m in lengths]
     new, old = _RunningMoments(shape), _RunningMoments(shape)
     for chunk in chunks:
         # ``update`` overwrites its chunk, so each side gets its own copy.
@@ -521,6 +522,78 @@ def test_running_moments_keep_the_former_bits(shape):
         assert new.n == old.n
         assert np.asarray(new.mean).tobytes() == np.asarray(old.mean).tobytes()
         assert np.asarray(new.m2).tobytes() == np.asarray(old.m2).tobytes()
+
+
+@st.composite
+def _moment_chunks(draw):
+    # A gradient chunk (m, d) in some memory layout, or a 1-D value chunk.
+    layout = draw(st.sampled_from(["C", "F", "view", "values"]))
+    d = 1 if layout == "values" else draw(st.integers(1, 40))
+    n = draw(st.integers(1, 3000))
+    specials = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    return layout, n, d, specials, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_moment_chunks())
+@example(("C", 1 << 16, 10, 0.01, 0))
+@example(("C", 1 << 16, 10, 0.0, 1))
+def test_the_moment_sums_have_the_bits_of_numpys_reduce(chunk):
+    # The column sums behind ``_RunningMoments.update`` take the bits of
+    # ``np.add.reduce`` along axis 0, whatever order numpy sums in.
+    layout, n, d, specials, seed = chunk
+    rng = np.random.default_rng(seed)
+    wide = 2 * d if layout == "view" else d
+    block = rng.standard_normal((n, wide)) * np.exp2(rng.integers(-60, 61, size=(n, wide)))
+    hit = rng.random((n, wide)) < specials
+    block[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=hit.sum())
+    block[:, rng.random(wide) < specials] = -0.0  # whole columns of -0.0
+    if layout == "F":
+        block = np.asfortranarray(block)
+    elif layout == "view":
+        block = block[:, ::2]
+    elif layout == "values":
+        block = block[:, 0].copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = estimators._column_sums(block), np.add.reduce(block, axis=0)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# The estimators of the estimate_d10 benchmark workload.
+_ESTIMATE_SPECS = [
+    "esg:spike", "esg:arch", "esg:cosine", "esg:bigauss_cosine", "esg:longjump",
+    "encoded_esg:arch", "naive", "reinforce", "arm", "disarm",
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 24])
+@pytest.mark.parametrize("spec", _ESTIMATE_SPECS)
+def test_estimates_keep_the_bits_of_the_former_moment_pass(spec, d):
+    # Two chunks of sample_batch, folded by the former update, give
+    # every bit of the summary.
+    est = make_estimator(spec)
+    rng = np.random.default_rng(d)
+    oracle = (TableOracle(rng.uniform(-5.0, 5.0, size=1 << d)) if d <= 10
+              else make_knapsack(d, rng))
+    x = rng.uniform(0.1, 0.9, size=d)
+    n, chunk = 70_000, 1 << 16
+    got = estimate_mean_and_variance(est, x, oracle, n, np.random.default_rng(9))
+    grads, values = _RunningMoments(d), _RunningMoments(())
+    state, ref = est.encode(x), np.random.default_rng(9)
+    for m in (chunk, n - chunk):
+        batch = est.sample_batch(state, oracle, ref, m)
+        _old_update(grads, batch.grads)
+        if est.provides_value:
+            _old_update(values, batch.values)
+    assert got.n_samples == grads.n == n
+    assert got.mean_gradient.tobytes() == grads.mean.tobytes()
+    assert got.gradient_variance.tobytes() == grads.variance().tobytes()
+    if est.provides_value:
+        assert np.float64(got.mean_value).tobytes() == np.float64(values.mean).tobytes()
+        assert np.float64(got.value_variance).tobytes() == np.float64(values.variance()).tobytes()
+    else:
+        assert math.isnan(got.mean_value) and math.isnan(got.value_variance)
 
 
 @contextmanager
@@ -758,11 +831,12 @@ def test_a_sample_batch_maps_its_state_once_at_any_worker_count(spec, monkeypatc
 
 
 def test_a_sample_batch_holds_its_planes_its_outputs_and_one_block(monkeypatch):
-    # Only the generator planes and the outputs span the whole chunk;
-    # everything else is one row block's, and the kernel keeps fewer
-    # than ten (rows, d) float arrays of a block alive at once.  Mapping
-    # the chunk's noise whole, or copying each block's results into
-    # fresh chunk arrays, takes more than that.
+    # Only a law's leading generator planes (here the mixture's sign
+    # plane) and the outputs span the whole chunk; each block draws its
+    # own rows of the last plane, and the kernel keeps fewer than ten
+    # (rows, d) float arrays of a block alive at once.  Mapping the
+    # chunk's noise whole, or copying each block's results into fresh
+    # chunk arrays, takes more than that.
     monkeypatch.setenv(ENV_MAX_WORKERS, "1")
     est = make_estimator("esg:bigauss_cosine")
     n, d = 1 << 16, 10
@@ -775,7 +849,7 @@ def test_a_sample_batch_holds_its_planes_its_outputs_and_one_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    planes = est.noise_law.draws * n * d * 8
+    planes = (est.noise_law.draws - 1) * n * d * 8
     outputs = sum(a.nbytes for a in (batch.keys, batch.values, batch.grads, batch.raw))
     block_rows = -(-n // -(-n * d // _BLOCK_ENTRIES))
     assert peak < planes + outputs + 10 * block_rows * d * 8, peak
