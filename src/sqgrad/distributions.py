@@ -34,10 +34,8 @@ Each law defines its sampler once, as two halves:
 rows of one buffer from different generators can map the whole buffer
 in one pass and get, row by row, the bits ``sample`` would give, and
 one that draws a plane in row blocks gets the bits of one call.  Laws
-sampled by inverse transform do the whole transform in ``draw`` (their
-``from_draws`` only drops the plane axis), so a bisection stops on one
-call's entries alone and never couples rows drawn from different
-streams.
+sampled by inverse transform do the whole transform in ``draw``; their
+``from_draws`` only drops the plane axis.
 
 The module needs numpy only.  :class:`TabulatedSymmetric` computes its
 PCHIP coefficients itself, with the formulas and the order of
@@ -45,13 +43,12 @@ operations of scipy's ``PchipInterpolator``, and evaluates them as
 scipy's ``PPoly`` does: one cell lookup serves its cdf and density, and
 the cubic is summed in PPoly's order, so each value has scipy's bits.
 
-:meth:`TabulatedSymmetric.inv_cdf` bisects each quantile's PCHIP cell
-until that entry's bracket is below ``INV_TOL``.  It replays most
-of the rounds, steering the loop's own midpoints by a Newton root of
-the cell's cubic, certifies each entry against a proven bound on the
-cubic's rounding error, redoes the few that fail with the exact
-comparison, and runs the last rounds exactly: the round count and
-every output bit are those of bisecting its cdf.  Inverses by bisection
+The two laws without a closed-form inverse cdf, :class:`RaisedCosine`
+and :class:`TabulatedSymmetric`, bisect their cdf in one loop,
+``_exact_rounds``, each entry until its own bracket is below
+``INV_TOL``, so no entry's bits depend on the call's other entries.
+The tabulated law replays most rounds first, and keeps the round count
+and every output bit of bisecting its cdf.  Inverses by bisection
 return an empty array, of the input's shape, for an empty input.
 """
 
@@ -89,26 +86,6 @@ def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:
 _ndtr = np.vectorize(lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0)), otypes=[float])
 
 
-def _bisect_increasing(fn, x, lo, hi, *, tol: float = 1e-12, max_iter: int = 200):
-    """Invert a nondecreasing function by bisection.
-
-    ``fn`` must satisfy fn(lo) <= x <= fn(hi) elementwise.  Returns the
-    bracket midpoint once its width falls below ``tol`` (absolute, in
-    the argument), or after ``max_iter`` halvings.
-    """
-    x = np.asarray(x, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape).copy()
-    for _ in range(max_iter):
-        if np.max(hi - lo, initial=0.0) < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        right = fn(mid) < x
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 class SymmetricDistribution:
     """Common interface: cdf, inv_cdf, density, sample, support.
 
@@ -130,6 +107,10 @@ class SymmetricDistribution:
     has_density: bool = True
     #: Generator planes per noise entry, the leading axis of ``draw``'s ``out``.
     draws: int = 1
+    #: Laws inverted by bisection stop each entry once its own bracket is
+    #: below INV_TOL, or after INV_MAX_ITER rounds.
+    INV_TOL: float = 1e-13
+    INV_MAX_ITER: int = 200
 
     @property
     def support(self) -> tuple[float, float]:
@@ -189,8 +170,8 @@ class _HalfWidth(SymmetricDistribution):
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise DomainError("half_width must be positive")
+        if not 0.0 < self.half_width < math.inf:
+            raise DomainError("half_width must be positive and finite")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -226,8 +207,8 @@ class TwoPoint(SymmetricDistribution):
     has_density = False
 
     def __post_init__(self):
-        if not self.magnitude > 0.0:
-            raise DomainError("magnitude must be positive")
+        if not 0.0 < self.magnitude < math.inf:
+            raise DomainError("magnitude must be positive and finite")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -261,10 +242,10 @@ class GaussianMixture(SymmetricDistribution):
     draws = 2
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise DomainError("scale must be positive")
-        if self.center < 0.0:
-            raise DomainError("center must be nonnegative")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError("scale must be positive and finite")
+        if not 0.0 <= self.center < math.inf:
+            raise DomainError("center must be nonnegative and finite")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -335,9 +316,6 @@ class HalfCosine(_HalfWidth):
 class RaisedCosine(_HalfWidth):
     """Law with density (1 + cos(pi z / c)) / (2 c) on [-c, c]."""
 
-    INV_TOL = 1e-13
-    INV_MAX_ITER = 200
-
     def _cdf(self, z):
         c = self.half_width
         t = np.clip(z, -c, c)
@@ -346,11 +324,12 @@ class RaisedCosine(_HalfWidth):
     def _inv_cdf(self, x):
         # No closed form: the cdf mixes a line and a sine.
         c = self.half_width
-        lo = np.full(x.shape, -c)
-        hi = np.full(x.shape, c)
-        return _bisect_increasing(
-            self._cdf, x, lo, hi, tol=self.INV_TOL, max_iter=self.INV_MAX_ITER
-        )
+        lo, hi = np.full(x.shape, -c), np.full(x.shape, c)
+        below = lambda mid, out: np.less(self._cdf(mid), x, out=out)
+        # c bounds the bracket's width 2c from below, and cannot overflow.
+        certain = _certain_rounds(c, c, self.INV_TOL)
+        _exact_rounds(lo, hi, below, certain, self.INV_MAX_ITER, self.INV_TOL)
+        return 0.5 * (lo + hi)
 
     def _density(self, z):
         c = self.half_width
@@ -412,20 +391,18 @@ class TabulatedSymmetric(SymmetricDistribution):
     return, bit for bit, what scipy's interpolant and its derivative
     return, and no scipy module is loaded.
 
-    Inversion brackets the quantile on the grid and then bisects the
-    interpolated cdf; the bracket is shrunk well below the documented
-    1e-10 guarantee so downstream encode/decode round-trips are tight.
-    The table bracket lies in one PCHIP cell, so the bisection gathers
-    that cell's cubic once and evaluates it in place at each step, with
-    no call of :meth:`cdf`.  It sums the cubic in the same order and
-    takes the table value at an inner cell's right end, as the cell
-    lookup does; every comparison, and so every output bit, is that of
-    bisecting :meth:`cdf` itself.  Each entry stops once its own
-    bracket is below ``INV_TOL``, whatever the call's other entries.
+    Inversion brackets the quantile on the grid and bisects the
+    interpolated cdf, each entry until its own bracket is below
+    ``INV_TOL``, well below the documented 1e-10 guarantee so
+    encode/decode round-trips are tight.  The bracket lies in one PCHIP
+    cell, so the loop's comparison gathers that cell's cubic once and
+    sums it through ``_cell_cdf``, as :meth:`cdf` does, taking the table
+    value at an inner cell's right end as the cell lookup does: every
+    comparison, and so every output bit, is that of bisecting :meth:`cdf`.
 
     Most of its rounds are replayed, not evaluated.  Every entry's stop
     rule is certain to run the first few rounds (a lower bound on the
-    narrowest bracket, :meth:`_certain_rounds`); all of them but the last
+    narrowest bracket, ``_certain_rounds``); all of them but the last
     ``INV_TAIL`` take the loop's own midpoint ``0.5 (lo + hi)`` and
     decide it by ``mid < r``, r a Newton root of the cell's cubic, in a
     handful of numpy calls and no cubic.  Then each entry is certified:
@@ -463,8 +440,6 @@ class TabulatedSymmetric(SymmetricDistribution):
     bracket leaves no round to replay runs only the exact loop.
     """
 
-    INV_TOL = 1e-13
-    INV_MAX_ITER = 200
     #: Rounds inv_cdf leaves to the exact loop after its replay.
     INV_TAIL = 10
 
@@ -521,8 +496,9 @@ class TabulatedSymmetric(SymmetricDistribution):
         return self._coef.take(cell, axis=1), t - grid[cell]
 
     def _cdf(self, z):
-        (c0, c1, c2, c3), s = self._locate(z)
-        return (0.0 + c3) + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
+        coef, s = self._locate(z)
+        # PPoly's sum starts from 0.0 (see _cell_cdf).
+        return _cell_cdf(coef, s, *(np.empty_like(s) for _ in range(3))) + 0.0
 
     def _density(self, z):
         inside = (z >= self._grid[0]) & (z <= self._grid[-1])
@@ -548,7 +524,8 @@ class TabulatedSymmetric(SymmetricDistribution):
         # cell, where the cdf is the table value, which is >= x: the
         # step goes left.
         edge = np.where(upper < last, hi, np.inf)
-        certain = self._certain_rounds(np.subtract(hi, lo).min(initial=grid[-1] - grid[0]))
+        narrowest = np.subtract(hi, lo).min(initial=grid[-1] - grid[0])
+        certain = _certain_rounds(narrowest, self._reach, self.INV_TOL)
         k = max(certain - self.INV_TAIL, 0)
         if k:
             lo0, hi0 = lo, hi
@@ -556,35 +533,34 @@ class TabulatedSymmetric(SymmetricDistribution):
             redo = ~_certified(flat, lo0, hi0, lo, hi, left, cells)
             if redo.any():
                 lo_r, hi_r = lo0[redo], hi0[redo]
-                _exact_rounds(
-                    flat[redo], lo_r, hi_r, left[redo], coef[:, redo], edge[redo],
-                    k, k, self.INV_TOL,
-                )
+                below = _cell_below(flat[redo], left[redo], coef[:, redo], edge[redo])
+                _exact_rounds(lo_r, hi_r, below, k, k, self.INV_TOL)
                 lo[redo], hi[redo] = lo_r, hi_r
-        _exact_rounds(
-            flat, lo, hi, left, coef, edge, certain - k, self.INV_MAX_ITER - k, self.INV_TOL
-        )
+        below = _cell_below(flat, left, coef, edge)
+        _exact_rounds(lo, hi, below, certain - k, self.INV_MAX_ITER - k, self.INV_TOL)
         return (0.5 * (lo + hi)).reshape(x.shape)
 
-    def _certain_rounds(self, narrowest: float) -> int:
-        """Rounds every entry's stop rule hi - lo < INV_TOL is certain to run.
 
-        w_k bounds the real width of the narrowest bracket from below: a
-        round halves it, less the midpoint's rounding, at most ``slip``
-        (u times the grid's reach, plus a subnormal halving's), and the
-        stop rule sees at least (1 - u) w_k (u = 2**-53), so round k runs
-        while ``shrink w_k >= INV_TOL``; shrink = 1 - 8u also covers the
-        rounding of this arithmetic.  With a = shrink / 2 the bound
-        is w_k = a**k (w_0 + c) - c for c = slip / (1 - a), and rounds
-        k = 0 .. floor(log(top / floor) / log(1 / a)) run, taken a hair
-        low against the rounding of the logarithms.
-        """
-        shrink = 1.0 - 2.0**-50
-        a = 0.5 * shrink
-        c = (2.0**-53 * self._reach + 2.0**-1074) / (1.0 - a)
-        top, floor = float(narrowest) * shrink + c, self.INV_TOL / shrink + c
-        last = math.floor((math.log(top) - math.log(floor)) / -math.log(a) - 1e-9)
-        return min(max(last + 1, 0), self.INV_MAX_ITER)
+def _certain_rounds(narrowest: float, reach: float, tol: float) -> int:
+    """Rounds the stop rule hi - lo < tol is certain to run for every
+    bracket at least ``narrowest`` wide, all in [-reach, reach].
+
+    w_k bounds the real width of the narrowest bracket from below: a
+    round halves it, less the midpoint's rounding, at most ``slip``
+    (u times ``reach``, plus a subnormal halving's), and the stop rule
+    sees at least (1 - u) w_k (u = 2**-53), so round k runs while
+    ``shrink w_k >= tol``; shrink = 1 - 8u also covers the rounding of
+    this arithmetic.  With a = shrink / 2 the bound is
+    w_k = a**k (w_0 + c) - c for c = slip / (1 - a), and rounds
+    k = 0 .. floor(log(top / floor) / log(1 / a)) run, taken a hair low
+    against the rounding of the logarithms: at most 53, as w_0 <= 2 reach.
+    """
+    shrink = 1.0 - 2.0**-50
+    a = 0.5 * shrink
+    c = (2.0**-53 * reach + 2.0**-1074) / (1.0 - a)
+    top, floor = float(narrowest) * shrink + c, tol / shrink + c
+    last = math.floor((math.log(top) - math.log(floor)) / -math.log(a) - 1e-9)
+    return max(last + 1, 0)
 
 
 def _replay(x, lo, hi, left, cells, rounds):
@@ -633,8 +609,10 @@ def _certified(x, lo0, hi0, lo, hi, left, cells):
 
 
 def _cell_cdf(coef, s, cdf, s2, term):
-    """c3 + c2 s + c1 (s s) + c0 ((s s) s) into ``cdf``, summed in the
-    order of :meth:`TabulatedSymmetric.cdf`, so with its bits."""
+    """The cell cubic c3 + c2 s + c1 (s s) + c0 ((s s) s) into ``cdf``:
+    scipy PPoly's power sum in its order, but for its leading 0.0, so it
+    may end on -0.0 where PPoly's ends on +0.0, which adding 0.0 mends
+    and no comparison sees."""
     c0, c1, c2, c3 = coef
     np.multiply(s, s, out=s2)
     np.multiply(c2, s, out=cdf)
@@ -645,25 +623,39 @@ def _cell_cdf(coef, s, cdf, s2, term):
     return cdf
 
 
-def _exact_rounds(x, lo, hi, left, coef, edge, certain, most, tol):
-    """Bisect each cell's cubic for x in place, comparing ``_cell_cdf``
-    at the midpoint with x: ``certain`` rounds, then up to ``most`` in
-    all, each entry until its own hi - lo < tol before a round."""
-    mid, s, s2, cdf, term = (np.empty_like(x) for _ in range(5))
-    right, inside = (np.empty(x.shape, dtype=bool) for _ in range(2))
+def _cell_below(x, left, coef, edge):
+    """``below`` for :func:`_exact_rounds` in PCHIP cells: the cell's
+    cubic at mid is below x, and mid is left of ``edge``."""
+    s, s2, cdf, term = (np.empty_like(x) for _ in range(4))
+    inside = np.empty(x.shape, dtype=bool)
+
+    def below(mid, out):
+        _cell_cdf(coef, np.subtract(mid, left, out=s), cdf, s2, term)
+        np.less(cdf, x, out=out)
+        out &= np.less(mid, edge, out=inside)
+
+    return below
+
+
+def _exact_rounds(lo, hi, below, certain, most, tol):
+    """Bisect the brackets [lo, hi] in place, the one loop of every
+    numeric inverse: ``below(mid, out)`` writes into ``out`` whether
+    each entry's cdf at ``mid`` is below its x.  ``certain`` rounds,
+    then up to ``most`` in all, each entry until its own hi - lo < tol
+    before a round, so no entry's bits depend on the others."""
+    mid, width = np.empty_like(lo), np.empty_like(lo)
+    right, left_of = (np.empty(lo.shape, dtype=bool) for _ in range(2))
     live = None  # the entries still bisecting, once some have stopped
     for done in range(most):
         if done >= certain:
-            stop = np.subtract(hi, lo, out=term) < tol
+            stop = np.subtract(hi, lo, out=width) < tol
             if stop.all():
                 break
             live = ~stop if stop.any() else None
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        _cell_cdf(coef, np.subtract(mid, left, out=s), cdf, s2, term)
-        np.less(cdf, x, out=right)
-        right &= np.less(mid, edge, out=inside)
-        left_of = np.logical_not(right, out=inside)
+        below(mid, right)
+        np.logical_not(right, out=left_of)
         if live is not None:
             right &= live
             left_of &= live

@@ -260,7 +260,8 @@ def register_tuple(tup: GoodTuple, *, overwrite: bool = False) -> None:
 
     Its ``sigma_hat.inv_cdf`` and ``sigma_hat.density`` must give each
     entry of an array the bits it would get alone, as the shipped laws
-    do: descent maps again only the state entries that moved.
+    do (a bisected inverse stops each entry on its own bracket): descent
+    maps again only the state entries that moved.
     """
     key = tup.name.lower()
     if key in _BUILDERS and not overwrite:
@@ -303,6 +304,14 @@ def _density_bounds(sigma: SymmetricDistribution) -> tuple[float, float]:
     return lo, hi
 
 
+def _grid(name: str, values) -> np.ndarray:
+    """``values`` as a float array, checked to be a non-empty, finite 1-D grid."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+        raise DomainError(f"{name} must be a non-empty 1-D array of finite numbers")
+    return grid
+
+
 # _smooth's rule: panels per piece of sigma's support, nodes per panel.
 _SMOOTH_PANELS = 8
 _SMOOTH_ORDER = 24
@@ -335,9 +344,7 @@ def validate_tuple(
     (which requires ``rng``).  Residuals of a calibrated tuple are limited
     by the numerics of sigma_hat's inverse and of the integration.
     """
-    if xs is None:
-        xs = np.arange(1, 100) / 100.0
-    xs = np.asarray(xs, dtype=float)
+    xs = _grid("xs", np.arange(1, 100) / 100.0 if xs is None else xs)
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise DomainError("calibration grid must lie strictly inside (0, 1)")
     n_samples = _count("n_samples", n_samples)
@@ -389,7 +396,7 @@ def convolution_check(tup: GoodTuple, z_grid=None) -> ConvolutionReport:
             lo = tup.sigma_hat.inv_cdf(0.001)
             hi = tup.sigma_hat.inv_cdf(0.999)
         z_grid = np.linspace(lo, hi, 99)
-    z_grid = np.asarray(z_grid, dtype=float)
+    z_grid = _grid("z_grid", z_grid)
 
     conv = np.array([_smooth(tup, float(z)) for z in z_grid])
     residuals = np.abs(conv - np.asarray(tup.sigma_hat.cdf(z_grid)))

@@ -15,7 +15,7 @@ from sqgrad.descent import (
     run_repeated,
 )
 from sqgrad import descent, tuples
-from sqgrad.distributions import HalfCosine, TabulatedSymmetric
+from sqgrad.distributions import HalfCosine, RaisedCosine, TabulatedSymmetric
 from sqgrad.errors import ConfigError, DomainError, ScheduleError, TupleError
 from sqgrad.estimators import Estimator, make_estimator
 from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
@@ -357,6 +357,29 @@ def test_lockstep_group_matches_solo_runs_over_an_uneven_encoding(problem, monke
             key = (base_seed, i, 1) if spec.randomized else (base_seed, 0, 1)
             (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(*key))])
             for name in ("raw", "snapshots", "final_x"):
+                assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+@pytest.mark.parametrize("prefix", ["esg", "encoded_esg"])
+@pytest.mark.parametrize("problem", ["slice:1", "slice:3"])
+def test_lockstep_group_matches_solo_runs_over_a_straddling_raised_cosine(
+    prefix, problem, monkeypatch
+):
+    # At c = 1e-13 2**43 the bisection's brackets reach INV_TOL in the
+    # same round but round to either side of it, so an entry's round
+    # count must come from its own bracket, not from the call's others.
+    # encoded_esg inverts only its start and its clamp bounds.
+    monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
+    monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
+    straddle = RaisedCosine(1e-13 * 2**43)
+    tuples.register_tuple(replace(tuples.get_tuple("cosine"), name="straddle", sigma_hat=straddle))
+    cfg = _config(estimator=f"{prefix}:straddle", steps=40, schedule=Schedule("constant", 1e-3))
+    spec = parse_problem(problem)
+    for base_seed in range(4):
+        group = run_repeated(cfg, spec, 8, base_seed)
+        for traj in group:
+            (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(base_seed, 0, 1))])
+            for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
                 assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
 
 

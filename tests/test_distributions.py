@@ -261,6 +261,20 @@ def test_parameter_validation():
         GaussianMixture(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("law, field", [
+    (UniformInterval, "half_width"), (Triangular, "half_width"), (HalfCosine, "half_width"),
+    (RaisedCosine, "half_width"), (TwoPoint, "magnitude"),
+    (GaussianMixture, "center"), (GaussianMixture, "scale"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_laws_reject_non_finite_parameters(law, field, bad):
+    # An infinite width samples +-inf and a NaN centre samples NaN, so
+    # each law refuses them when it is built, naming the field.
+    params = {"center": 1.0, "scale": 1.0} if law is GaussianMixture else {field: 0.5}
+    with pytest.raises(DomainError, match=field):
+        law(**{**params, field: bad})
+
+
 def test_tabulated_symmetric_round_trip():
     base = RaisedCosine(0.5)
     grid = np.linspace(-0.5, 0.5, 257)

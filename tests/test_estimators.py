@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sqgrad import estimators
-from sqgrad.distributions import Triangular, UniformInterval
+from sqgrad.distributions import RaisedCosine, Triangular, UniformInterval
 from sqgrad.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -377,10 +377,10 @@ def test_at_noise_rejects_wrong_noise_shape(spec):
 @given(data=st.data())
 def test_the_state_map_is_elementwise(spec, data):
     # Descent re-maps only the entries that moved, so each entry of the
-    # map must have the bits it gets when mapped alone.  esg:cosine's
-    # bisection stops on the widest bracket of the call and bigauss's
-    # replays as many rounds as the narrowest one allows: every entry
-    # must still end after the same rounds in any subset.
+    # map must have the bits it gets when mapped alone.  The bisection
+    # of esg:cosine and of bigauss stops each entry on its own bracket,
+    # and bigauss's replays as many rounds as the narrowest one allows:
+    # every entry must still end after the same rounds in any subset.
     est = make_estimator(spec)
     m, d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     probs = st.one_of(st.floats(1e-4, 1.0 - 1e-4), st.sampled_from([1e-4, 0.5, 1.0 - 1e-4]))
@@ -396,6 +396,29 @@ def test_the_state_map_is_elementwise(spec, data):
     for w, p in zip(whole, part):
         assert w.shape == states.shape
         assert w[mask.reshape(m, d)].tobytes() == p.tobytes()
+
+
+_PROBS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@example(law=RaisedCosine(1e-13 * 2.0**43), x=[0.1, 0.5], picks=[True] + [False] * 39)
+@given(
+    law=st.one_of(
+        st.floats(1e-6, 1e6).map(RaisedCosine),
+        # Widths whose brackets reach INV_TOL in one round, rounded to
+        # either side of it.
+        st.integers(0, 50).map(lambda k: RaisedCosine(1e-13 * 2.0**k)),
+        st.just(get_tuple("bigauss_cosine").sigma_hat),
+    ),
+    x=st.lists(_PROBS, min_size=1, max_size=40),
+    picks=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_bisected_inverses_are_elementwise(law, x, picks):
+    # The numeric inverses share one bisection loop; any subset of a
+    # call must get the bits that the whole call gives it.
+    x, mask = np.array(x), np.array(picks[: len(x)])
+    assert law.inv_cdf(x)[mask].tobytes() == law.inv_cdf(x[mask]).tobytes()
 
 
 def _reference_batch(est, states, noise, oracle):

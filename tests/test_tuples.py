@@ -210,6 +210,20 @@ def test_validate_tuple_sample_count_must_be_an_integer(n):
                        rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "grid", [[], [[0.2, 0.3]], 0.3, [0.3, math.nan], [math.inf], [-math.inf, 0.1]],
+    ids=["empty", "2-D", "scalar", "nan", "inf", "-inf"],
+)
+def test_calibration_checks_reject_bad_grids(grid):
+    # Refused by name, not left to numpy's "zero-size array" error, a
+    # TypeError or a NaN residual.
+    tup = get_tuple("arch")
+    with pytest.raises(DomainError, match="xs"):
+        validate_tuple(tup, xs=grid)
+    with pytest.raises(DomainError, match="z_grid"):
+        convolution_check(tup, z_grid=grid)
+
+
 def test_encoding_laws_match_families():
     # spike smooths to the triangular cdf; hand value at z = 1/4.
     assert get_tuple("spike").sigma_hat.cdf(0.25) == pytest.approx(0.875)
