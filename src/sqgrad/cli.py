@@ -4,7 +4,9 @@ Subcommands mirror the library surface: ``validate-tuple`` checks the
 calibration and convolution identities, ``estimate`` reports Monte
 Carlo gradient moments, ``exact`` brute-forces the value and gradient,
 ``descend`` runs one descent loop from a JSON config, and
-``experiment`` runs a benchmark spec and writes its CSV and SVG.
+``experiment`` runs a benchmark spec and writes its CSV and SVG.  A
+random problem instance draws from the key (seed, 1); noise draws from
+the seed itself, so the two never share a stream.
 
 Exit codes: 0 success, 1 a requested validation failed, 2 usage error,
 3 runtime failure (bad config file, oracle trouble, an output that cannot
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .descent import descend, run_repeated
+from .descent import derive_rng, descend, run_repeated
 from .errors import SqgradError
 from .estimators import estimate_mean_and_variance
 from .exact import finite_difference_gradient, multilinear_gradient, multilinear_value
@@ -106,8 +108,7 @@ def _cmd_validate_tuple(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    problem = parse_problem(args.problem)
-    oracle = problem.make(np.random.default_rng(args.seed))
+    oracle = parse_problem(args.problem).make(derive_rng(args.seed, 1))
     x = _parse_point(args.x, oracle.d)
     summary = estimate_mean_and_variance(
         args.estimator, x, oracle, args.samples, np.random.default_rng(args.seed)
@@ -127,8 +128,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    problem = parse_problem(args.problem)
-    oracle = problem.make(np.random.default_rng(args.seed))
+    oracle = parse_problem(args.problem).make(derive_rng(args.seed, 1))
     x = _parse_point(args.x, oracle.d)
     out = {"value": multilinear_value(x, oracle)}
     if args.grad:
@@ -153,8 +153,7 @@ def _cmd_descend(args) -> int:
             "oracle_calls_per_trial": int(trajs[0].calls[-1]),
         }
     else:
-        oracle = problem.make(np.random.default_rng(config.seed))
-        traj, x_final = descend(config, oracle)
+        traj, x_final = descend(config, problem.make(derive_rng(config.seed, 1)))
         out = {
             "final_x": x_final.tolist(),
             "best": float(traj.best[-1]),
@@ -167,7 +166,7 @@ def _cmd_descend(args) -> int:
                 "direction": traj.direction,
                 "snapshot_steps": traj.snapshot_steps.tolist(),
                 "snapshots": traj.snapshots.tolist(),
-                "best": traj.best[:: max(1, traj.best.shape[0] // 1000)].tolist(),
+                "best": traj.best[:: max(1, len(traj.raw) // 1000)].tolist(),
                 "final_x": traj.final_x.tolist(),
             }
             with open(args.out, "w", encoding="utf-8") as fh:

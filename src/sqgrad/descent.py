@@ -18,8 +18,9 @@ overflow to an infinite one: numpy emits a ``RuntimeWarning``, the
 clamp pins those coordinates at their bounds, and the run goes on with
 finite states.  Only a NaN state (say, inf - inf) stops the run.
 
-Trajectories record the raw oracle response at every query together
-with the running best, which is what the benchmark harness aggregates.
+Trajectories record the raw oracle response at every query, once; the
+call count and the running best, which the benchmark harness
+aggregates, are derived from it.
 Randomness is derived from integer seeds through ``SeedSequence`` so
 that every trial is replayable in isolation.
 """
@@ -111,14 +112,17 @@ class DescentConfig:
         x0 = np.asarray(self.x0, dtype=float)
         if not np.all((x0 > 0.0) & (x0 < 1.0)):
             raise DomainError("x0 must lie strictly inside (0, 1)^d")
+        make_estimator(self.estimator).state_bounds(self.clamp)
 
 
 @dataclass
 class Trajectory:
     """Per-query record of one descent run.
 
-    ``calls``, ``raw`` and ``best`` are aligned per oracle response;
-    two-call estimators therefore contribute two entries per step.
+    ``raw`` holds the oracle response of every call, in call order, two
+    per step for two-call estimators; ``calls`` (1, 2, ...) and ``best``
+    (the running max or min in the run's direction) are derived from it.
+    The trials of one lockstep group hold rows of the group's arrays.
     Snapshots hold decoded probability vectors at step 0 and every
     snapshot stride.  ``queries_per_sample`` is the estimator's; a run
     whose budget is not a multiple of it ends short of the budget by
@@ -127,14 +131,21 @@ class Trajectory:
 
     estimator: str
     direction: str
-    calls: np.ndarray
     raw: np.ndarray
-    best: np.ndarray
     snapshot_steps: np.ndarray
     snapshots: np.ndarray
     final_x: np.ndarray
     seed: int = 0
     queries_per_sample: int = 1
+
+    @property
+    def calls(self) -> np.ndarray:
+        return np.arange(1, self.raw.shape[0] + 1, dtype=np.int64)
+
+    @property
+    def best(self) -> np.ndarray:
+        running = np.maximum if self.direction == "maximize" else np.minimum
+        return running.accumulate(self.raw)
 
 
 def _initial_states(
@@ -222,8 +233,9 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     raw = np.empty((m, steps * qps))
     draws = np.empty((est.noise_law.draws, m, d))
     rows = [draws[:, i] for i in range(m)]
-    snap_steps = [0]
-    snaps = [np.array(est.decode(states))]
+    snap_steps = np.arange(0, steps + 1, stride, dtype=np.int64)
+    snaps = np.empty((m, snap_steps.shape[0], d))  # (trial, snapshot, coordinate)
+    snaps[:, 0] = est.decode(states)
     distinct = list({id(o): o for o in oracles}.values())
     calls_before = sum(o.call_count for o in distinct)
 
@@ -249,8 +261,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
             )
         raw[:, (t - 1) * qps : t * qps] = batch.raw
         if t % stride == 0:
-            snap_steps.append(t)
-            snaps.append(np.array(est.decode(states)))
+            snaps[:, t // stride] = est.decode(states)
 
     made = sum(o.call_count for o in distinct) - calls_before
     if made != m * steps * qps:
@@ -259,30 +270,20 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
             f"{steps} steps x {qps} queries per sample is {m * steps * qps}"
         )
 
-    calls = np.arange(1, steps * qps + 1, dtype=np.int64)
-    running = np.maximum.accumulate if sign > 0 else np.minimum.accumulate
-    best = running(raw, axis=1)
-    snap_steps_arr = np.asarray(snap_steps, dtype=np.int64)
-    snaps_arr = np.stack(snaps, axis=1)  # (m, n_snaps, d)
     final = np.array(est.decode(states))
-
-    out = []
-    for i, cfg in enumerate(configs):
-        out.append(
-            Trajectory(
-                estimator=est.spec,
-                direction=head.direction,
-                calls=calls.copy(),
-                raw=raw[i].copy(),
-                best=best[i].copy(),
-                snapshot_steps=snap_steps_arr.copy(),
-                snapshots=snaps_arr[i].copy(),
-                final_x=final[i].copy(),
-                seed=cfg.seed,
-                queries_per_sample=qps,
-            )
+    return [
+        Trajectory(
+            estimator=est.spec,
+            direction=head.direction,
+            raw=raw[i],
+            snapshot_steps=snap_steps,
+            snapshots=snaps[i],
+            final_x=final[i],
+            seed=cfg.seed,
+            queries_per_sample=qps,
         )
-    return out
+        for i, cfg in enumerate(configs)
+    ]
 
 
 def descend(config: DescentConfig, oracle: Oracle) -> tuple[Trajectory, np.ndarray]:

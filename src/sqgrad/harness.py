@@ -21,6 +21,7 @@ number of CPUs this process may run on.  Seeds are derived per
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -76,11 +77,8 @@ class MethodSpec:
         return self.label if self.label else self.estimator
 
     def descent_config(self, **run) -> DescentConfig:
-        """This method's descent run, with the run's other settings; a
-        clamp so thin that 1 - clamp is 1 fails the estimator's bounds."""
-        config = DescentConfig(self.estimator, schedule=Schedule(self.schedule, self.eta), **run)
-        make_estimator(self.estimator).state_bounds(config.clamp)
-        return config
+        """This method's descent run, with the run's other settings."""
+        return DescentConfig(self.estimator, schedule=Schedule(self.schedule, self.eta), **run)
 
 
 @dataclass(frozen=True)
@@ -242,11 +240,10 @@ def aggregate(
 ) -> AggregateSeries:
     """Median and quartiles of the running best across trials.
 
-    The running best is a step function of the call count; between
-    recorded calls the last value is carried forward, and past the last
-    call when the grid ends less than one sample after it (a two-query
-    method cannot spend an odd budget).  Percentiles are the linearly
-    interpolated kind.
+    Every call is recorded, so the running best at call c is entry
+    c - 1; past the last call it is carried forward when the grid ends
+    less than one sample after it (a two-query method cannot spend an
+    odd budget).  Percentiles are the linearly interpolated kind.
     """
     if not trajectories:
         raise EmptyInputError("no trajectories to aggregate")
@@ -255,10 +252,10 @@ def aggregate(
     for i, traj in enumerate(trajectories):
         if traj.estimator != trajectories[0].estimator:
             raise ConfigError("cannot aggregate across different estimators")
-        idx = np.searchsorted(traj.calls, grid, side="right") - 1
-        if np.any(idx < 0) or grid[-1] >= traj.calls[-1] + traj.queries_per_sample:
+        n = traj.raw.shape[0]
+        if np.any(grid < 1) or np.any(grid >= n + traj.queries_per_sample):
             raise ConfigError("grid extends beyond the recorded calls")
-        rows[i] = traj.best[idx]
+        rows[i] = traj.best[np.minimum(grid, n) - 1]
     p25, med, p75 = np.percentile(rows, [25.0, 50.0, 75.0], axis=0, method="linear")
     return AggregateSeries(
         label=label if label else trajectories[0].estimator,
@@ -293,22 +290,24 @@ def _register_tuples(tups: list) -> None:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every method of the experiment and aggregate per method.
 
-    The unit of parallelism is the method group; results are assembled
-    in spec order, so the output does not depend on the worker count.
+    The unit of parallelism is the method group.  Groups are aggregated
+    in spec order as they arrive, so the output does not depend on the
+    worker count, and each group's trajectories are dropped once it is
+    aggregated: a serial run builds the next group only then.
     """
     grid = call_grid(spec.budget, spec.grid_points)
-    workers = min(_worker_cap(), len(spec.methods))
-    if workers > 1:
-        # Spawn and forkserver workers import sqgrad afresh: send the tuples.
-        tups = [make_estimator(m.estimator).tup for m in spec.methods]
-        with ProcessPoolExecutor(workers, initializer=_register_tuples, initargs=(tups,)) as pool:
-            groups = list(pool.map(_method_trajectories, [spec] * len(spec.methods), range(len(spec.methods))))
-    else:
-        groups = [_method_trajectories(spec, mi) for mi in range(len(spec.methods))]
-    series = [
-        aggregate(trajs, grid, label=m.display)
-        for m, trajs in zip(spec.methods, groups)
-    ]
+    n = len(spec.methods)
+    workers = min(_worker_cap(), n)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # Spawn and forkserver workers import sqgrad afresh: send the tuples.
+            tups = [make_estimator(m.estimator).tup for m in spec.methods]
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, initializer=_register_tuples, initargs=(tups,)))
+            groups = pool.map(_method_trajectories, [spec] * n, range(n))
+        else:
+            groups = map(_method_trajectories, [spec] * n, range(n))
+        series = [aggregate(next(groups), grid, label=m.display) for m in spec.methods]
     return ExperimentResult(spec=spec, grid=grid, series=series)
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sqgrad import cli
+from sqgrad import cli, descent, oracles
 from sqgrad.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from sqgrad.errors import SqgradError
 
@@ -174,6 +174,40 @@ def test_descend_single_run(tmp_path, capsys):
     traj = json.loads(out_file.read_text())
     assert traj["estimator"] == "esg:arch"
     assert traj["snapshot_steps"][0] == 0
+
+
+def test_the_instance_and_the_noise_draw_from_different_streams(tmp_path, monkeypatch, capsys):
+    # A knapsack's weights and the first noise draws must not be read from
+    # the same words; estimate and exact face the same instance at one seed.
+    instances, noises = [], []
+    make_knapsack, estimate, derive_rng = (
+        oracles.make_knapsack, cli.estimate_mean_and_variance, descent.derive_rng)
+
+    def knapsack_spy(d, rng):
+        instances.append(rng.bit_generator.state)
+        return make_knapsack(d, rng)
+
+    def estimate_spy(*args):
+        noises.append(args[-1].bit_generator.state)
+        return estimate(*args)
+
+    def derive_spy(*key):  # descent's noise streams
+        rng = derive_rng(*key)
+        noises.append(rng.bit_generator.state)
+        return rng
+
+    monkeypatch.setattr(oracles, "make_knapsack", knapsack_spy)
+    monkeypatch.setattr(cli, "estimate_mean_and_variance", estimate_spy)
+    monkeypatch.setattr(descent, "derive_rng", derive_spy)
+    assert main(["estimate", "--estimator", "esg:arch", "--problem", "knapsack:6",
+                 "--x", "0.3", "--samples", "10", "--seed", "5"]) == EXIT_OK
+    assert main(["exact", "--problem", "knapsack:6", "--x", "0.3", "--seed", "5"]) == EXIT_OK
+    config = _descent_config(tmp_path, problem="knapsack:6", steps=3)
+    assert main(["descend", "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(instances) == 3 and len(noises) == 2
+    assert instances[0] == instances[1]
+    assert not any(state in noises for state in instances)
 
 
 def test_descend_encoded_dispatch(tmp_path, capsys):

@@ -71,6 +71,15 @@ def test_a_mistyped_config_fails_at_construction(field, value):
         _config(**{field: value})
 
 
+def test_a_config_that_cannot_run_fails_at_construction():
+    # The estimator, and the clamp bounds it takes, are checked when the
+    # config is built, not when it first runs.
+    with pytest.raises(ConfigError, match="bogus"):
+        DescentConfig("bogus", steps=5, schedule=CONST)
+    with pytest.raises(DomainError, match="1 - width"):
+        DescentConfig("encoded_esg:longjump", steps=5, schedule=CONST, clamp=1e-300)
+
+
 def test_a_mistyped_schedule_fails_at_construction():
     with pytest.raises(ScheduleError, match="eta"):
         Schedule("constant", "0.1")
@@ -127,6 +136,27 @@ def test_trajectory_alignment_two_query():
     np.testing.assert_array_equal(traj.calls, np.arange(1, 81))
     assert traj.raw.shape == (80,)
     np.testing.assert_array_equal(traj.best, np.minimum.accumulate(traj.raw))
+
+
+@pytest.mark.parametrize("estimator, direction", [
+    ("esg:arch", "maximize"), ("esg:arch", "minimize"), ("disarm", "maximize"),
+    ("disarm", "minimize"),
+])
+def test_a_trajectory_stores_each_response_once(estimator, direction):
+    # raw is the one per-call array; calls and best are derived from it,
+    # with the bits of an arange and of the group's running extreme.
+    config = _config(estimator=estimator, direction=direction, steps=40)
+    group = run_repeated(config, parse_problem("knapsack:6"), 3, base_seed=4)
+    n = group[0].raw.shape[0]
+    running = np.maximum if direction == "maximize" else np.minimum
+    best = running.accumulate(np.stack([traj.raw for traj in group]), axis=1)
+    for i, traj in enumerate(group):
+        per_call = [name for name, value in vars(traj).items()
+                    if isinstance(value, np.ndarray) and value.shape[0] == n]
+        assert per_call == ["raw"]
+        assert traj.calls.dtype == np.int64
+        assert traj.calls.tobytes() == np.arange(1, n + 1, dtype=np.int64).tobytes()
+        assert traj.best.tobytes() == best[i].tobytes()
 
 
 def test_snapshot_cadence_default_stride():
@@ -281,10 +311,9 @@ def test_overflowing_step_is_pinned_at_the_clamp(estimator):
 
 def test_tiny_clamp_is_rejected_before_the_run():
     # 1 - 1e-17 rounds to 1.0, where the score estimators divide by zero;
-    # the clamp bounds are checked once, before the first step.
-    cfg = _config(estimator="reinforce", clamp=1e-17, steps=1)
+    # the clamp bounds are checked once, when the config is built.
     with pytest.raises(DomainError):
-        descend(cfg, SymmetricSliceOracle(3))
+        _config(estimator="reinforce", clamp=1e-17, steps=1)
 
 
 _KINDS = [

@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import re
 import tempfile
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,18 +42,16 @@ from sqgrad.tuples import get_tuple, register_tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _traj(best, calls=None, estimator="esg:arch"):
-    best = np.asarray(best, dtype=float)
-    calls = np.arange(1, best.shape[0] + 1) if calls is None else np.asarray(calls)
+def _traj(raw, estimator="esg:arch", direction="maximize", queries_per_sample=1):
+    """A trajectory with one response per oracle call, as descent records."""
     return Trajectory(
         estimator=estimator,
-        direction="maximize",
-        calls=calls.astype(np.int64),
-        raw=best.copy(),
-        best=best,
+        direction=direction,
+        raw=np.asarray(raw, dtype=float),
         snapshot_steps=np.array([0]),
         snapshots=np.zeros((1, 2)),
         final_x=np.full(2, 0.5),
+        queries_per_sample=queries_per_sample,
     )
 
 
@@ -78,17 +78,20 @@ def test_aggregate_quartiles():
 
 
 def test_aggregate_carries_best_forward():
-    # Two-query methods record at calls 2, 4, 6; in between the last
-    # best is carried forward.
-    traj = _traj([1.0, 5.0, 9.0], calls=[2, 4, 6], estimator="arm")
-    s = aggregate([traj], np.array([2, 3, 4, 5, 6]))
-    np.testing.assert_allclose(s.median, [1.0, 1.0, 5.0, 5.0, 9.0])
+    # The running best holds through worse responses, in either direction;
+    # a two-query method records both calls of each sample.
+    traj = _traj([1.0, 0.0, 5.0, 2.0, 9.0, 3.0], estimator="arm", queries_per_sample=2)
+    s = aggregate([traj], np.array([1, 2, 3, 4, 5, 6]))
+    np.testing.assert_array_equal(s.median, [1.0, 1.0, 5.0, 5.0, 9.0, 9.0])
+    traj = _traj([3.0, 4.0, 1.0, 2.0], direction="minimize")
+    s = aggregate([traj], np.array([2, 3, 4]))
+    np.testing.assert_array_equal(s.median, [3.0, 1.0, 1.0])
 
 
 def test_aggregate_rejects_bad_grids():
-    traj = _traj([1.0, 5.0], calls=[2, 4])
+    traj = _traj([1.0, 0.0, 5.0, 2.0])
     with pytest.raises(ConfigError):
-        aggregate([traj], np.array([1, 2]))  # before the first call
+        aggregate([traj], np.array([0, 2]))  # before the first call
     with pytest.raises(ConfigError):
         aggregate([traj], np.array([2, 5]))  # beyond the last call
     with pytest.raises(EmptyInputError):
@@ -280,6 +283,84 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
         np.testing.assert_array_equal(a.p75, b.p75)
 
 
+def _spy_on_groups(monkeypatch):
+    """Log each method group's build and aggregation, and how many
+    trajectories of earlier groups are still alive at each build."""
+    log, refs = [], []
+    run_group, aggregate_group = harness._run_group, harness.aggregate
+
+    def run_group_spy(configs, group_oracles):
+        log.append(("build", sum(ref() is not None for ref in refs)))
+        trajectories = run_group(configs, group_oracles)
+        refs.extend(weakref.ref(t) for t in trajectories)
+        return trajectories
+
+    def aggregate_spy(trajectories, grid, label=None):
+        log.append(("aggregate", label))
+        return aggregate_group(trajectories, grid, label)
+
+    monkeypatch.setattr(harness, "_run_group", run_group_spy)
+    monkeypatch.setattr(harness, "aggregate", aggregate_spy)
+    return log
+
+
+def test_a_serial_experiment_holds_one_method_group_at_a_time(monkeypatch):
+    # Each group is aggregated and dropped before the next one is built.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    log = _spy_on_groups(monkeypatch)
+    spec = load_experiment_spec(REPO_ROOT / "configs" / "slice_d10.json")
+    spec = replace(spec, budget=60, n_trials=3)
+    run_experiment(spec)
+    want = []
+    for m in spec.methods:
+        want += [("build", 0), ("aggregate", m.display)]
+    assert log == want
+
+
+def test_a_serial_experiment_peaks_below_two_method_groups(monkeypatch):
+    # The run holds one group's records at a time: its peak stays below
+    # two groups' arrays, and so below two groups' responses and snapshots.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    spec = ExperimentSpec("peak", "slice:2", budget=1000, n_trials=100, methods=(
+        MethodSpec("esg:arch", 0.1), MethodSpec("disarm", 0.1), MethodSpec("naive", 0.1)))
+    run_experiment(replace(spec, budget=40, n_trials=2))  # first-use allocations
+    sizes = []
+    run_group = harness._run_group
+
+    def sized_run_group(configs, group_oracles):
+        trajectories = run_group(configs, group_oracles)
+        sizes.append(sum(t.raw.nbytes + t.snapshots.nbytes for t in trajectories))
+        return trajectories
+
+    monkeypatch.setattr(harness, "_run_group", sized_run_group)
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) <= peak < 2 * max(sizes)
+
+
+def test_pool_groups_are_aggregated_in_spec_order(monkeypatch):
+    # Three workers on five methods of unequal cost may finish out of
+    # order; the groups are still aggregated in spec order, to the bits
+    # of a serial run.
+    spec = ExperimentSpec("order", "slice:4", budget=40, n_trials=2, methods=tuple(
+        MethodSpec(e, 0.1) for e in ("disarm", "esg:arch", "arm", "naive", "reinforce")))
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    serial = run_experiment(spec)
+    monkeypatch.setenv(ENV_MAX_WORKERS, "3")
+    log = _spy_on_groups(monkeypatch)
+    pooled = run_experiment(spec)
+    labels = [m.display for m in spec.methods]
+    assert log == [("aggregate", label) for label in labels]
+    for a, b in zip(serial.series, pooled.series, strict=True):
+        assert a.label == b.label
+        for name in ("median", "p25", "p75"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_registered_tuples_reach_workers_of_every_start_method(tmp_path, monkeypatch, method):
     # A worker started by spawn or forkserver imports sqgrad afresh, so
@@ -369,8 +450,8 @@ def test_odd_budget_carries_two_query_methods_to_the_budget(monkeypatch):
 
 
 def test_aggregate_rejects_a_grid_past_the_last_sample():
-    traj = _traj([1.0, 5.0], calls=[2, 4], estimator="arm")
-    traj.queries_per_sample = 2
+    # Two samples of a two-query method spend 4 calls of an odd budget of 5.
+    traj = _traj([1.0, 0.0, 5.0, 2.0], estimator="arm", queries_per_sample=2)
     s = aggregate([traj], np.array([2, 4, 5]))  # 5 is short of one more sample
     np.testing.assert_allclose(s.median, [1.0, 5.0, 5.0])
     with pytest.raises(ConfigError):
