@@ -142,6 +142,10 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_descend(args) -> int:
+    if args.out and args.trials > 1:
+        print("sqgrad descend: --out writes a single run's trajectory; it cannot be "
+              "combined with --trials above 1", file=sys.stderr)
+        return EXIT_USAGE
     config, problem = load_descent_config(args.config)
     if args.trials > 1:
         trajs = run_repeated(config, problem, args.trials, base_seed=config.seed)
@@ -226,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descend", help="run descent from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=_at_least(1), default=1)
-    p.add_argument("--out", default=None, help="write trajectory JSON here")
+    p.add_argument("--out", default=None,
+                   help="write the trajectory JSON of a single run (--trials 1) here")
     p.set_defaults(fn=_cmd_descend)
 
     p = sub.add_parser("experiment", help="run a benchmark spec, write CSV and SVG")

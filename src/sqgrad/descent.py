@@ -27,13 +27,13 @@ that every trial is replayable in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatchError, DomainError, ScheduleError,
                      _check_kinds, _count)
-from .estimators import Estimator, make_estimator
+from .estimators import make_estimator
 from .oracles import Oracle, ProblemSpec, _TrialOracles
 
 __all__ = [
@@ -148,31 +148,19 @@ class Trajectory:
         return running.accumulate(self.raw)
 
 
-def _initial_states(
-    est: Estimator, config: DescentConfig, m: int, d: int
-) -> tuple[np.ndarray, float, float]:
-    lo, hi = est.state_bounds(config.clamp)
-    x0 = np.asarray(config.x0, dtype=float)
-    if x0.ndim and x0.shape != (d,):
-        raise DimensionMismatchError(
-            f"x0 has shape {x0.shape} but the oracle has dimension {d}"
-        )
-    x0 = np.broadcast_to(x0, (d,)).astype(float)
-    return np.tile(np.clip(est.encode(x0), lo, hi), (m, 1)), lo, hi
+def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) -> list[Trajectory]:
+    """Run one trial per seed of ``group = (config, seeds)`` in lockstep.
 
+    Every setting comes from the one config, which was checked when it
+    was built; trial i draws its noise from ``derive_rng(seeds[i])`` and
+    queries ``oracles[i]``.  Each trial consumes only its own stream, so
+    the trajectories are identical to running the trials one at a time.
 
-def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Trajectory]:
-    """Run one trial per config in lockstep.
-
-    All configs must agree on everything but the seed.  Each trial
-    consumes only its own derived stream, so the trajectories are
-    identical to running the trials one at a time.
-
-    Inputs are checked here, once: the initial state, encoded and
-    clamped once and tiled to every trial, and the clamp bounds, which
-    keep every later state in the estimator's domain.  The step loop
-    then trusts them, apart from one finiteness check of the states
-    after each update.
+    The initial state is encoded, clamped and checked against the
+    oracles' dimension once, and tiled to every trial.  The clamp bounds
+    keep every later state in the estimator's domain, so the step loop
+    trusts them, apart from one finiteness check of the states after
+    each update.
 
     Noise lives in one (noise_law.draws, m, d) buffer.  Each step fills
     trial i's row ``buffer[:, i]`` from that trial's generator, one
@@ -204,14 +192,11 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     group whose oracles moved by anything else raises ``DomainError``;
     a group must have its oracles to itself while it runs.
     """
-    head = configs[0]
-    for cfg in configs[1:]:
-        if replace(cfg, seed=head.seed) != head:
-            raise ConfigError("grouped trials must share one configuration")
-    if len(oracles) != len(configs):
-        raise ConfigError("need one oracle per trial")
+    config, seeds = group
+    if len(oracles) != len(seeds):
+        raise ConfigError(f"need one oracle per trial: {len(seeds)} seeds, {len(oracles)} oracles")
 
-    est = make_estimator(head.estimator)
+    est = make_estimator(config.estimator)
     d = oracles[0].d
     if any(o.d != d for o in oracles):
         raise ConfigError("grouped oracles must share one dimension")
@@ -220,15 +205,20 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     else:
         oracle = _TrialOracles(oracles)
 
-    m = len(configs)
-    steps = head.steps
+    m = len(seeds)
+    steps = config.steps
     qps = est.queries_per_sample
-    stride = head.snapshot_every or max(1, steps // 1000)
-    sign = 1.0 if head.direction == "maximize" else -1.0
+    stride = config.snapshot_every or max(1, steps // 1000)
+    sign = 1.0 if config.direction == "maximize" else -1.0
 
-    states, lo, hi = _initial_states(est, head, m, d)
+    lo, hi = est.state_bounds(config.clamp)
+    x0 = np.asarray(config.x0, dtype=float)
+    if x0.ndim and x0.shape != (d,):
+        raise DimensionMismatchError(f"x0 has shape {x0.shape} but the oracle has dimension {d}")
+    x0 = np.broadcast_to(x0, (d,)).astype(float)
+    states = np.tile(np.clip(est.encode(x0), lo, hi), (m, 1))
     mapped, at = states, est._at_state(states)
-    rngs = [derive_rng(cfg.seed) for cfg in configs]
+    rngs = [derive_rng(seed) for seed in seeds]
 
     raw = np.empty((m, steps * qps))
     draws = np.empty((est.noise_law.draws, m, d))
@@ -240,7 +230,7 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     calls_before = sum(o.call_count for o in distinct)
 
     for t in range(1, steps + 1):
-        eta = head.schedule.rate(t)
+        eta = config.schedule.rate(t)
         for rng, row in zip(rngs, rows):
             est.draw_noise(rng, d, draws=row)
         noise = est.noise_law.from_draws(draws)
@@ -274,15 +264,15 @@ def _run_group(configs: list[DescentConfig], oracles: list[Oracle]) -> list[Traj
     return [
         Trajectory(
             estimator=est.spec,
-            direction=head.direction,
+            direction=config.direction,
             raw=raw[i],
             snapshot_steps=snap_steps,
             snapshots=snaps[i],
             final_x=final[i],
-            seed=cfg.seed,
+            seed=seed,
             queries_per_sample=qps,
         )
-        for i, cfg in enumerate(configs)
+        for i, seed in enumerate(seeds)
     ]
 
 
@@ -292,7 +282,7 @@ def descend(config: DescentConfig, oracle: Oracle) -> tuple[Trajectory, np.ndarr
     The update runs in the estimator's state space, the encoding domain
     for ``encoded_esg``; snapshots and the final x are decoded.
     """
-    traj = _run_group([config], [oracle])[0]
+    traj = _run_group((config, [config.seed]), [oracle])[0]
     return traj, traj.final_x
 
 
@@ -307,9 +297,9 @@ def run_repeated(
     get a fresh instance per trial from the matching derivation."""
     n = _count("n_trials", n_trials, 1, ConfigError)
     _count("base_seed", base_seed, 0, ConfigError)
-    configs = [replace(config, seed=derive_seed(base_seed, i)) for i in range(n)]
+    seeds = [derive_seed(base_seed, i) for i in range(n)]
     keys = [(base_seed, i, 1) for i in range(n)]
-    return _run_group(configs, _trial_oracles(problem, keys))
+    return _run_group((config, seeds), _trial_oracles(problem, keys))
 
 
 def _trial_oracles(problem: ProblemSpec, keys: list[tuple]) -> list[Oracle]:

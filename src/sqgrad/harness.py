@@ -26,13 +26,12 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .descent import (DescentConfig, Schedule, Trajectory, _initial_states, _run_group,
-                      _trial_oracles, derive_seed)
+from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_oracles, derive_seed
 from .errors import ConfigError, EmptyInputError, SqgradError, _check_kinds, _checked, _count
 from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
@@ -120,8 +119,8 @@ class ExperimentSpec:
         parse_problem(self.problem)
 
     def method_config(self, mi: int) -> DescentConfig:
-        """Method mi's descent run, the budget spent in whole steps; the
-        seed is set per trial."""
+        """Method mi's descent run, the budget spent in whole steps; its
+        trials' seeds run beside it, in ``_method_trajectories``."""
         method = self.methods[mi]
         steps = self.budget // make_estimator(method.estimator).queries_per_sample
         if steps < 1:
@@ -220,7 +219,9 @@ def load_descent_config(path) -> tuple[DescentConfig, ProblemSpec]:
         problem = parse_problem(_checked("problem", run.pop("problem"), str))
         method = MethodSpec(**{name: run.pop(name) for name in _METHOD_FIELDS if name in run})
         config = method.descent_config(**run)
-        _initial_states(make_estimator(config.estimator), config, 1, problem.d)  # x0's length must be d
+        if isinstance(config.x0, tuple) and len(config.x0) != problem.d:
+            raise ConfigError(f"x0 has {len(config.x0)} entries but the problem has dimension "
+                              f"{problem.d}")
     except SqgradError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config, problem
@@ -272,13 +273,11 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     problems derive from (base_seed, 1, trial) only, so every method
     faces the same sequence of instances; noise streams derive from
     (base_seed, 2, method, trial)."""
-    config = spec.method_config(mi)
     n = spec.n_trials
-    configs = [
-        replace(config, seed=derive_seed(spec.base_seed, 2, mi, trial)) for trial in range(n)
-    ]
+    seeds = [derive_seed(spec.base_seed, 2, mi, trial) for trial in range(n)]
     keys = [(spec.base_seed, 1, trial) for trial in range(n)]
-    return _run_group(configs, _trial_oracles(parse_problem(spec.problem), keys))
+    return _run_group((spec.method_config(mi), seeds),
+                      _trial_oracles(parse_problem(spec.problem), keys))
 
 
 def _register_tuples(tups: list) -> None:

@@ -226,6 +226,19 @@ def test_descend_repeated(tmp_path, capsys):
     assert out["oracle_calls_per_trial"] == 30
 
 
+def test_descend_refuses_out_with_several_trials(tmp_path, monkeypatch, capsys):
+    # --out writes one run's trajectory; with --trials above 1 it used to
+    # be ignored, and the command wrote no file and exited 0.
+    monkeypatch.setattr(cli, "run_repeated", lambda *a, **kw: pytest.fail("a trial ran"))
+    out_file = tmp_path / "traj.json"
+    rc = main(["descend", "--config", str(_descent_config(tmp_path)),
+               "--trials", "3", "--out", str(out_file)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "--trials" in captured.err and captured.out == ""
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_descend_rejects_nonpositive_trials(tmp_path, trials, capsys):
     rc = main(["descend", "--config", str(_descent_config(tmp_path)),

@@ -16,7 +16,8 @@ from sqgrad.descent import (
 )
 from sqgrad import descent, tuples
 from sqgrad.distributions import HalfCosine, RaisedCosine, TabulatedSymmetric
-from sqgrad.errors import ConfigError, DomainError, ScheduleError, TupleError
+from sqgrad.errors import (ConfigError, DimensionMismatchError, DomainError, ScheduleError,
+                           TupleError)
 from sqgrad.estimators import Estimator, make_estimator
 from sqgrad.oracles import Oracle, SymmetricSliceOracle, TableOracle, parse_problem
 
@@ -90,12 +91,39 @@ def test_dispatch_guards():
         run_repeated(_config(), parse_problem("slice:4"), 0, 1)
 
 
+def test_a_group_needs_one_oracle_per_seed():
+    oracle = SymmetricSliceOracle(4)
+    with pytest.raises(ConfigError, match="one oracle per trial"):
+        _run_group((_config(), [1, 2, 3]), [oracle, oracle])
+    with pytest.raises(ConfigError, match="one oracle per trial"):
+        _run_group((_config(), [1]), [oracle, oracle])
+
+
+@pytest.mark.parametrize("estimator", ["esg:arch", "encoded_esg:bigauss_cosine"])
+def test_descent_builds_no_config_beyond_the_callers(monkeypatch, estimator):
+    # A group is one config and its trials' seeds: no per-trial copies.
+    cfg = _config(estimator=estimator, steps=2)
+    built = []
+    post_init = DescentConfig.__post_init__
+
+    def counted(self):
+        built.append(self.estimator)
+        post_init(self)
+
+    monkeypatch.setattr(DescentConfig, "__post_init__", counted)
+    run_repeated(cfg, parse_problem("knapsack:6"), 20, base_seed=3)
+    descend(cfg, SymmetricSliceOracle(6))
+    assert built == []
+
+
 def test_x0_validation():
     oracle = SymmetricSliceOracle(4)
     with pytest.raises(DomainError):
         descend(_config(x0=1.0), oracle)
     with pytest.raises(DomainError):
         descend(_config(x0=(0.5, 0.5, 0.0, 0.5)), oracle)
+    with pytest.raises(DimensionMismatchError, match="x0 has shape"):
+        descend(_config(x0=(0.5, 0.5)), oracle)
 
 
 def test_seed_derivation_is_deterministic_and_keyed():
@@ -277,10 +305,10 @@ class _UncountedOracle(Oracle):
 def test_oracle_that_does_not_count_stops_the_run(estimator):
     m, steps = 3, 4
     qps = 2 if estimator == "arm" else 1
-    cfgs = [_config(estimator=estimator, steps=steps, seed=s) for s in range(m)]
+    cfg = _config(estimator=estimator, steps=steps)
     match = rf"{estimator}: the oracles counted 0 calls, .* is {m * steps * qps}"
     with pytest.raises(DomainError, match=match):
-        _run_group(cfgs, [_UncountedOracle(3)] * m)
+        _run_group((cfg, list(range(m))), [_UncountedOracle(3)] * m)
 
 
 @pytest.mark.parametrize("problem", ["slice:6", "knapsack:6"])
@@ -344,7 +372,7 @@ def test_lockstep_group_matches_single_trial_runs(
     for i, traj in enumerate(group):
         key = (base_seed, i, 1) if spec.randomized else (base_seed, 0, 1)
         oracle = spec.make(derive_rng(*key))
-        (solo,) = _run_group([replace(cfg, seed=traj.seed)], [oracle])
+        solo, _ = descend(replace(cfg, seed=traj.seed), oracle)
         for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
             assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
 
@@ -358,13 +386,13 @@ def test_lockstep_group_over_distinct_tables_matches_solo_runs(estimator):
     m, steps, d = 3, 20, 4
     rng = np.random.default_rng(8)
     tables = [rng.normal(size=1 << d) for _ in range(m)]
-    cfgs = [_config(estimator=estimator, steps=steps, seed=s) for s in range(m)]
+    cfg = _config(estimator=estimator, steps=steps)
     members = [TableOracle(t) for t in tables]
-    group = _run_group(cfgs, members)
+    group = _run_group((cfg, list(range(m))), members)
     qps = group[0].queries_per_sample
     assert [o.call_count for o in members] == [steps * qps] * m
-    for cfg, table, traj in zip(cfgs, tables, group):
-        (solo,) = _run_group([cfg], [TableOracle(table)])
+    for seed, table, traj in zip(range(m), tables, group):
+        solo, _ = descend(replace(cfg, seed=seed), TableOracle(table))
         for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
             assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
 
@@ -384,7 +412,7 @@ def test_lockstep_group_matches_solo_runs_over_an_uneven_encoding(problem, monke
         group = run_repeated(cfg, spec, 4, base_seed)
         for i, traj in enumerate(group):
             key = (base_seed, i, 1) if spec.randomized else (base_seed, 0, 1)
-            (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(*key))])
+            solo, _ = descend(replace(cfg, seed=traj.seed), spec.make(derive_rng(*key)))
             for name in ("raw", "snapshots", "final_x"):
                 assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
 
@@ -407,7 +435,7 @@ def test_lockstep_group_matches_solo_runs_over_a_straddling_raised_cosine(
     for base_seed in range(4):
         group = run_repeated(cfg, spec, 8, base_seed)
         for traj in group:
-            (solo,) = _run_group([replace(cfg, seed=traj.seed)], [spec.make(derive_rng(base_seed, 0, 1))])
+            solo, _ = descend(replace(cfg, seed=traj.seed), spec.make(derive_rng(base_seed, 0, 1)))
             for name in ("calls", "raw", "best", "snapshot_steps", "snapshots", "final_x"):
                 assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
 
@@ -468,8 +496,8 @@ def test_descent_keeps_the_map_of_the_current_states(monkeypatch, estimator, pro
 def test_a_run_where_nothing_moves_maps_its_states_once(monkeypatch, estimator):
     sizes = _watch_descent(monkeypatch)
     m, d, steps = 3, 4, 30
-    cfgs = [_config(estimator=estimator, steps=steps, x0=0.3, seed=s) for s in range(m)]
-    group = _run_group(cfgs, [TableOracle(np.zeros(1 << d))] * m)
+    cfg = _config(estimator=estimator, steps=steps, x0=0.3)
+    group = _run_group((cfg, list(range(m))), [TableOracle(np.zeros(1 << d))] * m)
     assert sizes == [m * d]
     for traj in group:
         assert traj.final_x == pytest.approx(0.3, abs=1e-12)
@@ -483,9 +511,8 @@ def test_a_run_where_every_entry_moves_maps_them_all_each_step(monkeypatch, esti
     # never reach the clamp.
     sizes = _watch_descent(monkeypatch)
     m, d, steps = 3, 4, 12
-    cfgs = [_config(estimator=estimator, steps=steps, seed=s,
-                    schedule=Schedule("constant", 1e-4)) for s in range(m)]
-    _run_group(cfgs, [TableOracle(np.ones(1 << d))] * m)
+    cfg = _config(estimator=estimator, steps=steps, schedule=Schedule("constant", 1e-4))
+    _run_group((cfg, list(range(m))), [TableOracle(np.ones(1 << d))] * m)
     assert sizes == [m * d] * steps
 
 

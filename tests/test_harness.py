@@ -289,9 +289,9 @@ def _spy_on_groups(monkeypatch):
     log, refs = [], []
     run_group, aggregate_group = harness._run_group, harness.aggregate
 
-    def run_group_spy(configs, group_oracles):
+    def run_group_spy(group, group_oracles):
         log.append(("build", sum(ref() is not None for ref in refs)))
-        trajectories = run_group(configs, group_oracles)
+        trajectories = run_group(group, group_oracles)
         refs.extend(weakref.ref(t) for t in trajectories)
         return trajectories
 
@@ -327,8 +327,8 @@ def test_a_serial_experiment_peaks_below_two_method_groups(monkeypatch):
     sizes = []
     run_group = harness._run_group
 
-    def sized_run_group(configs, group_oracles):
-        trajectories = run_group(configs, group_oracles)
+    def sized_run_group(group, group_oracles):
+        trajectories = run_group(group, group_oracles)
         sizes.append(sum(t.raw.nbytes + t.snapshots.nbytes for t in trajectories))
         return trajectories
 
@@ -340,6 +340,24 @@ def test_a_serial_experiment_peaks_below_two_method_groups(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(sizes) <= peak < 2 * max(sizes)
+
+
+def test_a_method_group_builds_one_config(monkeypatch):
+    # Its trials differ only in their seeds, so the group runs from one
+    # checked config, however many trials it has.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    spec = ExperimentSpec("one_config", "knapsack:6", budget=2, n_trials=20, methods=(
+        MethodSpec("encoded_esg:bigauss_cosine", 0.1), MethodSpec("esg:arch", 0.1)))
+    built = []
+    post_init = DescentConfig.__post_init__
+
+    def counted(self):
+        built.append(self.estimator)
+        post_init(self)
+
+    monkeypatch.setattr(DescentConfig, "__post_init__", counted)
+    run_experiment(spec)
+    assert built == ["encoded_esg:bigauss_cosine", "esg:arch"]
 
 
 def test_pool_groups_are_aggregated_in_spec_order(monkeypatch):
