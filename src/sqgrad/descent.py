@@ -16,7 +16,7 @@ Overflow is intended behaviour, not an error.  A finite oracle value
 near the float maximum (|Q| ~ 1e308) can make the gradient step
 overflow to an infinite one: numpy emits a ``RuntimeWarning``, the
 clamp pins those coordinates at their bounds, and the run goes on with
-finite states.  Only a NaN state (say, inf - inf) stops the run.
+finite states.  A NaN state or a non-finite oracle value stops the run.
 
 Trajectories record the raw oracle response at every query, once; the
 call count and the running best, which the benchmark harness
@@ -91,7 +91,9 @@ class Schedule:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Everything one descent run needs besides the oracle."""
+    """Everything one descent run needs besides the oracle.  Checking it
+    builds the estimator and its clamp bounds; the config keeps both for
+    its runs, as ``_estimator`` and ``_bounds``, which are not fields."""
 
     estimator: str
     steps: int
@@ -112,7 +114,8 @@ class DescentConfig:
         x0 = np.asarray(self.x0, dtype=float)
         if not np.all((x0 > 0.0) & (x0 < 1.0)):
             raise DomainError("x0 must lie strictly inside (0, 1)^d")
-        make_estimator(self.estimator).state_bounds(self.clamp)
+        object.__setattr__(self, "_estimator", make_estimator(self.estimator))
+        object.__setattr__(self, "_bounds", self._estimator.state_bounds(self.clamp))
 
 
 @dataclass
@@ -151,10 +154,11 @@ class Trajectory:
 def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) -> list[Trajectory]:
     """Run one trial per seed of ``group = (config, seeds)`` in lockstep.
 
-    Every setting comes from the one config, which was checked when it
-    was built; trial i draws its noise from ``derive_rng(seeds[i])`` and
-    queries ``oracles[i]``.  Each trial consumes only its own stream, so
-    the trajectories are identical to running the trials one at a time.
+    Every setting, the estimator and its clamp bounds included, comes
+    from the one config, built when it was checked; trial i draws its
+    noise from ``derive_rng(seeds[i])`` and queries ``oracles[i]``.  Each
+    trial consumes only its own stream, so the trajectories are
+    identical to running the trials one at a time.
 
     The initial state is encoded, clamped and checked against the
     oracles' dimension once, and tiled to every trial.  The clamp bounds
@@ -190,13 +194,14 @@ def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) ->
     Every sample costs ``queries_per_sample`` oracle calls.  The counters
     of the distinct oracles are read before and after the loop, and a
     group whose oracles moved by anything else raises ``DomainError``;
-    a group must have its oracles to itself while it runs.
+    a group must have its oracles to itself while it runs.  So does a
+    non-finite oracle value, found in the responses after the loop.
     """
     config, seeds = group
     if len(oracles) != len(seeds):
         raise ConfigError(f"need one oracle per trial: {len(seeds)} seeds, {len(oracles)} oracles")
 
-    est = make_estimator(config.estimator)
+    est, (lo, hi) = config._estimator, config._bounds
     d = oracles[0].d
     if any(o.d != d for o in oracles):
         raise ConfigError("grouped oracles must share one dimension")
@@ -211,7 +216,6 @@ def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) ->
     stride = config.snapshot_every or max(1, steps // 1000)
     sign = 1.0 if config.direction == "maximize" else -1.0
 
-    lo, hi = est.state_bounds(config.clamp)
     x0 = np.asarray(config.x0, dtype=float)
     if x0.ndim and x0.shape != (d,):
         raise DimensionMismatchError(f"x0 has shape {x0.shape} but the oracle has dimension {d}")
@@ -245,10 +249,9 @@ def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) ->
         batch = est.evaluate(states, noise, oracle, at=at)
         states = np.minimum(np.maximum(states + sign * eta * batch.grads, lo), hi)
         if not np.isfinite(states).all():
-            raise DomainError(
-                f"{est.spec}: non-finite state at step {t}; "
-                "check the oracle values and the step size"
-            )
+            why = ("the oracle answered a non-finite value" if not np.isfinite(batch.raw).all()
+                   else "check the oracle values and the step size")
+            raise DomainError(f"{est.spec}: non-finite state at step {t}; {why}")
         raw[:, (t - 1) * qps : t * qps] = batch.raw
         if t % stride == 0:
             snaps[:, t // stride] = est.decode(states)
@@ -259,6 +262,10 @@ def _run_group(group: tuple[DescentConfig, list[int]], oracles: list[Oracle]) ->
             f"{est.spec}: the oracles counted {made} calls, but {m} trials x "
             f"{steps} steps x {qps} queries per sample is {m * steps * qps}"
         )
+    bad = np.argwhere(~np.isfinite(raw.T))  # (call, trial) pairs, first call first
+    if bad.size:
+        raise DomainError(f"{est.spec}: non-finite oracle value at step {bad[0, 0] // qps + 1} "
+                          f"of trial {bad[0, 1]}; oracle values must be finite")
 
     final = np.array(est.decode(states))
     return [

@@ -35,7 +35,6 @@ from .descent import DescentConfig, Schedule, Trajectory, _run_group, _trial_ora
 from .errors import ConfigError, EmptyInputError, SqgradError, _check_kinds, _checked, _count
 from .estimators import _worker_cap, make_estimator
 from .oracles import ProblemSpec, parse_problem
-from .tuples import register_tuple
 
 __all__ = [
     "MethodSpec",
@@ -82,6 +81,10 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """An experiment.  Checking it parses the problem and builds each
+    method's ``DescentConfig``, the budget spent in whole steps; the spec
+    keeps them for its runs, as ``_problem`` and ``_configs``, not fields."""
+
     name: str
     problem: str
     budget: int
@@ -114,22 +117,15 @@ class ExperimentSpec:
         labels = [m.display for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError("method labels must be unique within an experiment")
-        for mi in range(len(self.methods)):
-            self.method_config(mi)
-        parse_problem(self.problem)
-
-    def method_config(self, mi: int) -> DescentConfig:
-        """Method mi's descent run, the budget spent in whole steps; its
-        trials' seeds run beside it, in ``_method_trajectories``."""
-        method = self.methods[mi]
-        steps = self.budget // make_estimator(method.estimator).queries_per_sample
-        if steps < 1:
-            raise ConfigError(
-                f"budget {self.budget} cannot fund one step of {method.estimator}"
-            )
-        return method.descent_config(
-            steps=steps, direction=self.direction, x0=self.x0, clamp=self.clamp
-        )
+        configs = []
+        for m in self.methods:
+            steps = self.budget // make_estimator(m.estimator).queries_per_sample
+            if steps < 1:
+                raise ConfigError(f"budget {self.budget} cannot fund one step of {m.estimator}")
+            configs.append(m.descent_config(
+                steps=steps, direction=self.direction, x0=self.x0, clamp=self.clamp))
+        object.__setattr__(self, "_configs", tuple(configs))
+        object.__setattr__(self, "_problem", parse_problem(self.problem))
 
 
 @dataclass
@@ -276,36 +272,29 @@ def _method_trajectories(spec: ExperimentSpec, mi: int) -> list[Trajectory]:
     n = spec.n_trials
     seeds = [derive_seed(spec.base_seed, 2, mi, trial) for trial in range(n)]
     keys = [(spec.base_seed, 1, trial) for trial in range(n)]
-    return _run_group((spec.method_config(mi), seeds),
-                      _trial_oracles(parse_problem(spec.problem), keys))
-
-
-def _register_tuples(tups: list) -> None:
-    """Pool initializer: make the parent's tuples addressable here."""
-    for tup in filter(None, tups):
-        register_tuple(tup, overwrite=True)
+    return _run_group((spec._configs[mi], seeds), _trial_oracles(spec._problem, keys))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every method of the experiment and aggregate per method.
 
-    The unit of parallelism is the method group.  Groups are aggregated
-    in spec order as they arrive, so the output does not depend on the
-    worker count, and each group's trajectories are dropped once it is
-    aggregated: a serial run builds the next group only then.
+    It runs the problem and configs the spec built when it was checked,
+    and builds or reads nothing itself.  The unit of parallelism is the
+    method group; a pool task carries the spec, whose configs and
+    problem pickle, tuples and table included, to a worker of any start
+    method.  Groups are aggregated in spec order as they arrive, so the
+    output does not depend on the worker count, and each group's
+    trajectories are dropped once it is aggregated: a serial run builds
+    the next group only then.
     """
     grid = call_grid(spec.budget, spec.grid_points)
     n = len(spec.methods)
     workers = min(_worker_cap(), n)
     with contextlib.ExitStack() as stack:
+        run = map
         if workers > 1:
-            # Spawn and forkserver workers import sqgrad afresh: send the tuples.
-            tups = [make_estimator(m.estimator).tup for m in spec.methods]
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers, initializer=_register_tuples, initargs=(tups,)))
-            groups = pool.map(_method_trajectories, [spec] * n, range(n))
-        else:
-            groups = map(_method_trajectories, [spec] * n, range(n))
+            run = stack.enter_context(ProcessPoolExecutor(workers)).map
+        groups = run(_method_trajectories, [spec] * n, range(n))
         series = [aggregate(next(groups), grid, label=m.display) for m in spec.methods]
     return ExperimentResult(spec=spec, grid=grid, series=series)
 

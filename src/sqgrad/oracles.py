@@ -38,6 +38,7 @@ import csv
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -301,13 +302,18 @@ def make_knapsack(d: int, rng: np.random.Generator) -> KnapsackOracle:
     return KnapsackOracle(rng.integers(1, 10, size=_count("d", d)))
 
 
+def _unseeded(cls, arg, rng: np.random.Generator) -> Oracle:
+    """``cls(arg)``, a fresh instance of a family that takes no randomness."""
+    return cls(arg)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A named problem family; ``make`` builds one instance per trial.
 
     ``randomized`` marks families whose instances depend on the
     generator (knapsack draws fresh weights per trial); for the others
-    every trial may share a single oracle object.
+    every trial may share a single oracle object.  A parsed spec pickles.
     """
 
     name: str
@@ -317,7 +323,8 @@ class ProblemSpec:
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse ``slice:<d>``, ``knapsack:<d>`` or ``table:<path>``."""
+    """Parse ``slice:<d>``, ``knapsack:<d>`` or ``table:<path>``; a table
+    is read here, once, and each ``make`` gives it a fresh counter."""
     text = str(text).strip()
     kind, sep, arg = text.partition(":")
     kind = kind.lower()
@@ -331,16 +338,12 @@ def parse_problem(text: str) -> ProblemSpec:
         if d < 1:
             raise ConfigError(f"dimension must be positive in {text!r}")
         if kind == "slice":
-            return ProblemSpec(text, d, False, lambda rng: SymmetricSliceOracle(d))
-        return ProblemSpec(text, d, True, lambda rng: make_knapsack(d, rng))
+            return ProblemSpec(text, d, False, partial(_unseeded, SymmetricSliceOracle, d))
+        return ProblemSpec(text, d, True, partial(make_knapsack, d))
     if kind == "table":
         try:
             oracle = TableOracle.from_csv(arg)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(f"cannot read table {arg!r}: {exc}") from exc
-
-        def _clone(rng: np.random.Generator, _table=oracle._table) -> Oracle:
-            return TableOracle(_table)
-
-        return ProblemSpec(text, oracle.d, False, _clone)
+        return ProblemSpec(text, oracle.d, False, partial(_unseeded, TableOracle, oracle._table))
     raise ConfigError(f"unknown problem kind {kind!r} in {text!r}")

@@ -294,6 +294,39 @@ def test_non_finite_state_stops_the_run(estimator):
         descend(_config(estimator=estimator, x0=0.9, steps=200), _NanOracle(3))
 
 
+class _InfOracle(Oracle):
+    """Answers +inf at every key of weight ``heavy`` or more, else 1."""
+
+    def __init__(self, d, heavy=2):
+        super().__init__(d)
+        self.heavy = heavy
+
+    def _values(self, ys):
+        return np.where(ys.sum(axis=1) >= self.heavy, np.inf, 1.0)
+
+
+@pytest.mark.parametrize(
+    "estimator",
+    ["esg:arch", "esg:longjump", "encoded_esg:spike", "naive", "reinforce", "arm", "disarm"],
+)
+def test_non_finite_oracle_value_stops_the_run(estimator):
+    # Whether or not the state goes non-finite first, the error names
+    # the oracle's value as the cause.
+    match = (rf"{estimator}: non-finite (state at step \d+; the oracle answered a non-finite "
+             rf"value|oracle value at step \d+ of trial 0)")
+    with pytest.raises(DomainError, match=match):
+        descend(_config(estimator=estimator, steps=50), _InfOracle(3))
+
+
+def test_non_finite_oracle_value_is_named_by_step_and_trial():
+    # reinforce's step is +-inf here, pinned by the clamp, so only the
+    # responses show the bad value: trial 1's first call.
+    finite, infinite = _InfOracle(3, heavy=4), _InfOracle(3, heavy=0)
+    with pytest.raises(DomainError, match="reinforce: non-finite oracle value at step 1 of "
+                                          "trial 1; oracle values must be finite"):
+        _run_group((_config(estimator="reinforce", steps=5), [0, 1]), [finite, infinite])
+
+
 class _UncountedOracle(Oracle):
     """Answers 1.0 everywhere without touching the call counter."""
 

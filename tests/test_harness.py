@@ -10,7 +10,7 @@ import re
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sqgrad import estimators, harness, tuples
+from sqgrad import descent, estimators, harness, tuples
 from sqgrad.cli import EXIT_RUNTIME, main
 from sqgrad.descent import DescentConfig, Schedule, Trajectory, descend, run_repeated
 from sqgrad.errors import ConfigError, EmptyInputError
@@ -344,10 +344,9 @@ def test_a_serial_experiment_peaks_below_two_method_groups(monkeypatch):
 
 def test_a_method_group_builds_one_config(monkeypatch):
     # Its trials differ only in their seeds, so the group runs from one
-    # checked config, however many trials it has.
+    # checked config, however many trials it has; the spec builds it, and
+    # the run builds none.
     monkeypatch.setenv(ENV_MAX_WORKERS, "1")
-    spec = ExperimentSpec("one_config", "knapsack:6", budget=2, n_trials=20, methods=(
-        MethodSpec("encoded_esg:bigauss_cosine", 0.1), MethodSpec("esg:arch", 0.1)))
     built = []
     post_init = DescentConfig.__post_init__
 
@@ -356,6 +355,9 @@ def test_a_method_group_builds_one_config(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DescentConfig, "__post_init__", counted)
+    spec = ExperimentSpec("one_config", "knapsack:6", budget=2, n_trials=20, methods=(
+        MethodSpec("encoded_esg:bigauss_cosine", 0.1), MethodSpec("esg:arch", 0.1)))
+    assert built == ["encoded_esg:bigauss_cosine", "esg:arch"]
     run_experiment(spec)
     assert built == ["encoded_esg:bigauss_cosine", "esg:arch"]
 
@@ -379,18 +381,111 @@ def test_pool_groups_are_aggregated_in_spec_order(monkeypatch):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def _write_table(tmp_path, d=6):
+    """A ``table:`` problem of 2^d seeded values, written as CSV."""
+    path = tmp_path / "table.csv"
+    values = np.random.default_rng(d).normal(size=1 << d)
+    path.write_text("bits,value\n" + "".join(
+        f"{k:0{d}b},{v:.17g}\n" for k, v in enumerate(values)))
+    return path
+
+
+_TABLE_METHODS = [{"estimator": e, "eta": 0.1} for e in
+                  ("esg:bigauss_cosine", "encoded_esg:cosine", "disarm", "arm")]
+
+
+def test_kept_run_objects_are_not_fields_and_replace_builds_its_own():
+    spec = ExperimentSpec("kept", "knapsack:6", budget=40, n_trials=2, methods=(
+        MethodSpec("arm", 0.1), MethodSpec("esg:arch", 0.1)))
+    assert [f.name for f in fields(ExperimentSpec)] == list(harness._EXPERIMENT_FIELDS)
+    assert [f.name for f in fields(DescentConfig)] == [
+        "estimator", "steps", "schedule", "direction", "x0", "clamp", "seed", "snapshot_every"]
+    assert "_configs" not in repr(spec) and "_estimator" not in repr(spec._configs[0])
+    same = ExperimentSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+    assert same == spec and hash(same) == hash(spec)
+    assert same._configs == spec._configs and same._configs[0] is not spec._configs[0]
+    half = replace(spec, budget=20)
+    assert [c.steps for c in half._configs] == [10, 20]
+    assert [c.steps for c in spec._configs] == [20, 40]
+    assert half._problem is not spec._problem
+
+
+def test_a_table_run_reads_its_file_once_and_builds_nothing(tmp_path, monkeypatch):
+    # Loading the spec reads the table and builds every method's config;
+    # the run uses them and builds, parses and reads nothing again.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(harness, "parse_problem")
+    counted(harness, "make_estimator")
+    counted(descent, "make_estimator")
+    counted(estimators.Estimator, "state_bounds")
+    read = TableOracle.from_csv.__func__
+    monkeypatch.setattr(TableOracle, "from_csv", classmethod(
+        lambda cls, path: calls.append("from_csv") or read(cls, path)))
+    problem = f"table:{_write_table(tmp_path)}"
+    spec = load_experiment_spec(_write_spec(tmp_path, problem=problem, methods=_TABLE_METHODS))
+    assert calls.count("from_csv") == calls.count("parse_problem") == 1
+    assert calls.count("state_bounds") == len(_TABLE_METHODS)
+    calls.clear()
+    run_experiment(spec)
+    assert calls == []
+
+
+def test_a_table_spec_runs_without_its_file(tmp_path, monkeypatch):
+    # The table is read when the spec loads; deleting the file after
+    # that changes nothing the run writes.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    table = _write_table(tmp_path)
+    spec = load_experiment_spec(_write_spec(
+        tmp_path, problem=f"table:{table}", methods=_TABLE_METHODS))
+    with_file = write_outputs(run_experiment(spec), tmp_path / "with_file")
+    table.unlink()
+    without_file = write_outputs(run_experiment(spec), tmp_path / "without_file")
+    assert [Path(p).read_bytes() for p in with_file] == [
+        Path(p).read_bytes() for p in without_file]
+
+
+def test_a_built_spec_keeps_the_tuples_it_was_built_with(tmp_path, monkeypatch):
+    # Registering another tuple under a method's name changes the specs
+    # built after it, not one built before.
+    monkeypatch.setenv(ENV_MAX_WORKERS, "1")
+    monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
+    monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
+    register_tuple(replace(get_tuple("arch"), name="mine"))
+    path = _write_spec(tmp_path, problem=f"table:{_write_table(tmp_path)}",
+                       methods=[{"estimator": "esg:mine", "eta": 0.1}])
+    spec = load_experiment_spec(path)
+    before = run_experiment(spec).series[0].median
+    register_tuple(replace(get_tuple("cosine"), name="mine"), overwrite=True)
+    assert run_experiment(spec).series[0].median.tobytes() == before.tobytes()
+    assert run_experiment(load_experiment_spec(path)).series[0].median.tobytes() != before.tobytes()
+
+
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_registered_tuples_reach_workers_of_every_start_method(tmp_path, monkeypatch, method):
     # A worker started by spawn or forkserver imports sqgrad afresh, so
-    # it knows a tuple registered here only if the pool hands it over.
+    # it knows a tuple registered here, or a table read here, only if
+    # the pool hands it over; the table's file is gone before the run.
     monkeypatch.setattr(tuples, "_BUILDERS", dict(tuples._BUILDERS))
     monkeypatch.setattr(tuples, "_CACHE", dict(tuples._CACHE))
     register_tuple(replace(get_tuple("arch"), name="myarch"))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor,
         mp_context=multiprocessing.get_context(method)))
-    spec = load_experiment_spec(_write_spec(tmp_path, problem="slice:6", methods=[
+    table = _write_table(tmp_path)
+    spec = load_experiment_spec(_write_spec(tmp_path, problem=f"table:{table}", methods=[
         {"estimator": "esg:myarch", "eta": 0.1}, {"estimator": "reinforce", "eta": 0.1}]))
+    table.unlink()
     outputs = []
     for workers in ("1", "2"):
         monkeypatch.setenv(ENV_MAX_WORKERS, workers)

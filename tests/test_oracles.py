@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -285,6 +286,26 @@ def test_parse_problem_table_clones_counters(tmp_path):
     a.query(np.array([1]))
     assert a.call_count == 1 and b.call_count == 0
     assert b.query(np.array([1])) == 5.0
+
+
+@pytest.mark.parametrize("kind", ["slice:5", "knapsack:5", "table"])
+def test_parsed_problems_pickle(tmp_path, kind):
+    # A pool worker gets the parsed problem, not its text: the copy
+    # builds the same instances, each with its own counter.
+    if kind == "table":
+        path = tmp_path / "t.csv"
+        path.write_text("bits,value\n00,1\n01,-2\n10,3.5\n11,4\n")
+        kind = f"table:{path}"
+    spec = parse_problem(kind)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert (copy.name, copy.d, copy.randomized) == (spec.name, spec.d, spec.randomized)
+    a, b = spec.make(np.random.default_rng(3)), copy.make(np.random.default_rng(3))
+    assert type(a) is type(b)
+    np.testing.assert_array_equal(a._table, b._table)
+    np.testing.assert_array_equal(a._weights, b._weights)
+    b.query(np.ones(spec.d))
+    assert (a.call_count, b.call_count) == (0, 1)
+    assert copy.make(np.random.default_rng(3)).call_count == 0
 
 
 def _knapsack_members():
